@@ -6,7 +6,7 @@ export PYTHONPATH := src:$(PYTHONPATH)
 
 .PHONY: test bench check lint examples profile clean
 
-## Unit tests only (fast, ~15 s)
+## Unit tests only (~45 s)
 test:
 	$(PYTHON) -m pytest tests -q
 
@@ -37,4 +37,4 @@ examples:
 
 clean:
 	find . -type d -name __pycache__ -exec rm -rf {} +
-	rm -rf .pytest_cache .benchmarks build *.egg-info
+	rm -rf .pytest_cache .benchmarks build *.egg-info benchmarks/results/timing

@@ -11,8 +11,9 @@ only the constants differ) and are built once per session:
 * **Dataset 3** — a larger citation-style snapshot plus churn, used only by
   the partitioned/PageRank experiment.
 
-Each benchmark also appends a JSON record of the series it measured to
-``benchmarks/results/``, which is what EXPERIMENTS.md is generated from.
+Each benchmark also writes a JSON record of the series it measured to
+``benchmarks/results/`` (op counts, tracked) or ``benchmarks/results/timing/``
+(wall-clock, gitignored), which is what EXPERIMENTS.md is generated from.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.datasets.random_trace import (
 )
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+TIMING_DIR = os.path.join(RESULTS_DIR, "timing")
 
 #: Scale knob: number of events in the Dataset 1/2 analogues.  The paper uses
 #: 2M; the default keeps the full benchmark suite under a few minutes on a
@@ -43,10 +45,16 @@ def pytest_configure(config):
     os.makedirs(RESULTS_DIR, exist_ok=True)
 
 
-def record_result(name: str, payload: Dict) -> None:
-    """Persist one experiment's measured series for EXPERIMENTS.md."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    path = os.path.join(RESULTS_DIR, f"{name}.json")
+def record_result(name: str, payload: Dict, timing: bool = False) -> None:
+    """Persist one experiment's measured series for EXPERIMENTS.md.
+
+    Deterministic op-count records are tracked and must be byte-stable run
+    to run; a record holding wall-clock measurements (``timing=True``)
+    changes on every run, so it goes to the gitignored ``TIMING_DIR``.
+    """
+    directory = TIMING_DIR if timing else RESULTS_DIR
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, f"{name}.json")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, default=str)
 

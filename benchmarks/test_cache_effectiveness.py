@@ -105,7 +105,7 @@ def test_warm_vs_cold_singlepoint(benchmark, recorder, cached_index,
         "cache_stats": vars(index.cache.stats()),
         "cache_policy": index.cache.policy_name,
         "cache_budget_bytes": CACHE_BUDGET,
-    })
+    }, timing=True)
     print(f"\n[cache/singlepoint] cold {statistics.median(cold) * 1000:.2f} ms "
           f"vs warm {statistics.median(warm) * 1000:.2f} ms median "
           f"(x{speedup:.1f}); warm hit rate {warm_stats.hit_rate:.2%}, "
@@ -132,7 +132,7 @@ def test_warm_vs_cold_multipoint(recorder, cached_index,
         "warm_seconds": warm,
         "speedup_cold_over_warm": cold / warm,
         "warm_store_gets": warm_io.gets,
-    })
+    }, timing=True)
     print(f"\n[cache/multipoint] {len(times)} points: cold {cold * 1000:.1f} ms"
           f" vs warm {warm * 1000:.1f} ms (x{cold / warm:.1f})")
     assert warm < cold
@@ -155,7 +155,7 @@ def test_warm_vs_cold_interval(recorder, cached_index, dataset1):
         "warm_seconds": warm,
         "speedup_cold_over_warm": cold / warm,
         "warm_store_gets": warm_io.gets,
-    })
+    }, timing=True)
     print(f"\n[cache/interval] cold {cold * 1000:.1f} ms vs warm "
           f"{warm * 1000:.1f} ms (x{cold / warm:.1f})")
     assert warm < cold

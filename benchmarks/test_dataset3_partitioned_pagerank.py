@@ -63,7 +63,7 @@ def test_dataset3_pagerank_per_snapshot(benchmark, recorder, dataset3_store):
         "num_partitions": NUM_PARTITIONS,
         "rows": rows,
         "avg_total_seconds": statistics.mean(r["total_seconds"] for r in rows),
-    })
+    }, timing=True)
     print(f"\n[dataset3] {NUM_PARTITIONS}-way partitioned PageRank per snapshot:")
     for row in rows:
         print(f"  t={row['time']:>9d}: {row['nodes']:>6d}n/{row['edges']:>7d}e "

@@ -78,7 +78,7 @@ def test_fig10_materialization_levels(benchmark, recorder, churn_workload):
     index = _fresh_index(churn_workload)
     index.materialize_roots()
     benchmark(lambda: index.get_snapshot(times[-1]))
-    recorder("fig10_materialization", {"rows": rows})
+    recorder("fig10_materialization", {"rows": rows}, timing=True)
     print("\n[fig10] configuration: avg query ms, materialized memory")
     for row in rows:
         print(f"  {row['configuration']:<20s} "

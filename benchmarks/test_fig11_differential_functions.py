@@ -62,7 +62,7 @@ def test_fig11a_intersection_vs_balanced(benchmark, recorder, dataset1):
         "per_query_seconds": series,
         "means": {k: statistics.mean(v) for k, v in series.items()},
         "newer_vs_older_skew": {k: _skew(v) for k, v in series.items()},
-    })
+    }, timing=True)
     print("\n[fig11a] function: mean ms (newer/older skew)")
     for name, values in series.items():
         print(f"  {name:<28s} {statistics.mean(values) * 1000:7.1f} ms "
@@ -90,7 +90,7 @@ def test_fig11b_mixed_function_parameters(benchmark, recorder, dataset1):
         "per_query_seconds": {str(r): v for r, v in results.items()},
         "newest_query_seconds": {str(r): v[-1] for r, v in results.items()},
         "oldest_query_seconds": {str(r): v[0] for r, v in results.items()},
-    })
+    }, timing=True)
     print("\n[fig11b] r1=r2: oldest-query ms, newest-query ms")
     for r, values in results.items():
         print(f"  r={r}: {values[0] * 1000:7.1f} ms  {values[-1] * 1000:7.1f} ms")

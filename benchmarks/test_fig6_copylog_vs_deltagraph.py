@@ -73,7 +73,7 @@ def _run_panel(benchmark, recorder, panel, copy_log, delta_graph, times):
         "copylog_bytes": copy_log.storage_bytes(),
         "deltagraph_bytes": delta_graph.index_size_bytes(),
         "speedup_copylog_over_deltagraph": speedup,
-    })
+    }, timing=True)
     print(f"\n[fig6/{panel}] Copy+Log mean "
           f"{statistics.mean(copylog_series) * 1000:.1f} ms vs DeltaGraph(Int) "
           f"{statistics.mean(deltagraph_series) * 1000:.1f} ms "
@@ -111,7 +111,7 @@ def test_fig6b_dataset2_with_root_materialized(benchmark, recorder,
         recorder("fig6_dataset2_root_materialized", {
             "seconds": series,
             "mean": statistics.mean(series),
-        })
+        }, timing=True)
         print("\n[fig6/dataset2 +root mat] mean "
               f"{statistics.mean(series) * 1000:.1f} ms")
     finally:

@@ -97,7 +97,7 @@ def test_fig7a_retrieval_times(benchmark, recorder, interval_tree,
             "dg_root_grandchildren": statistics.median(grandchild_series),
             "dg_total_materialization": statistics.median(total_series),
         },
-    })
+    }, timing=True)
     print("\n[fig7a] mean ms — interval tree "
           f"{statistics.mean(tree_series) * 1000:.1f}, "
           "DG (root's grandchildren mat.) "

@@ -50,7 +50,7 @@ def test_fig8b_parallel_retrieval(benchmark, recorder, partitioned, dataset2):
         "workers": list(series.keys()),
         "avg_retrieval_seconds": list(series.values()),
         "speedup_vs_1_worker": [series[1] / series[w] for w in series],
-    })
+    }, timing=True)
     speedups = {w: series[1] / series[w] for w in series}
     print("\n[fig8b] avg retrieval time by worker count: "
           + ", ".join(f"{w}: {v * 1000:.1f} ms (x{speedups[w]:.2f})"

@@ -57,7 +57,7 @@ def test_fig8c_multipoint_vs_singlepoint(benchmark, recorder,
                      "multipoint_bytes": multi_bytes,
                      "singlepoint_bytes": single_bytes})
     benchmark(lambda: index.get_snapshots(_closely_spaced_times(dataset1, 4)))
-    recorder("fig8c_multipoint", {"rows": rows})
+    recorder("fig8c_multipoint", {"rows": rows}, timing=True)
     print("\n[fig8c] #queries: multipoint vs repeated singlepoint (ms, bytes read)")
     for row in rows:
         print(f"  {row['num_queries']}: "

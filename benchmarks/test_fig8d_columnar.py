@@ -54,7 +54,7 @@ def test_fig8d_structure_only_vs_full(benchmark, recorder, index, dataset2):
         "structure_only_seconds": structure_series,
         "bytes_read": {"full": full_bytes, "structure_only": structure_bytes},
         "speedup": speedup,
-    })
+    }, timing=True)
     print("\n[fig8d] structure+attributes "
           f"{statistics.mean(full_series) * 1000:.1f} ms / {full_bytes} B vs "
           f"structure-only {statistics.mean(structure_series) * 1000:.1f} ms "

@@ -49,7 +49,7 @@ def test_fig9a_varying_arity(benchmark, recorder, dataset1):
         rows.append({"arity": arity, "avg_seconds": mean_seconds,
                      "space_bytes": space_bytes})
     benchmark(lambda: _measure(dataset1, 1000, 4, times[:2]))
-    recorder("fig9a_arity", {"rows": rows})
+    recorder("fig9a_arity", {"rows": rows}, timing=True)
     print("\n[fig9a] arity: avg query ms, index bytes")
     for row in rows:
         print(f"  k={row['arity']}: {row['avg_seconds'] * 1000:7.1f} ms, "
@@ -70,7 +70,7 @@ def test_fig9b_varying_leaf_eventlist_size(benchmark, recorder, dataset1):
         rows.append({"leaf_eventlist_size": leaf_size,
                      "avg_seconds": mean_seconds, "space_bytes": space_bytes})
     benchmark(lambda: _measure(dataset1, 1000, 4, times[:2]))
-    recorder("fig9b_leaf_size", {"rows": rows})
+    recorder("fig9b_leaf_size", {"rows": rows}, timing=True)
     print("\n[fig9b] L: avg query ms, index bytes")
     for row in rows:
         print(f"  L={row['leaf_eventlist_size']}: "

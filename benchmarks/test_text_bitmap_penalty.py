@@ -57,7 +57,7 @@ def test_bitmap_penalty_on_pagerank(benchmark, recorder, snapshot_and_view):
         "plain_seconds": plain_seconds,
         "bitmap_view_seconds": view_seconds,
         "overhead_fraction": overhead,
-    })
+    }, timing=True)
     print(f"\n[bitmap penalty] plain {plain_seconds * 1000:.0f} ms vs "
           f"bitmap view {view_seconds * 1000:.0f} ms "
           f"(overhead {overhead * 100:+.1f}%)")

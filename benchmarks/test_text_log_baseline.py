@@ -52,7 +52,7 @@ def test_log_replay_vs_deltagraph(benchmark, recorder, workload):
         "log_mean_seconds": log_mean,
         "deltagraph_mean_seconds": deltagraph_mean,
         "log_slowdown_factor": slowdown,
-    })
+    }, timing=True)
     print(f"\n[log baseline/{name}] Log {log_mean * 1000:.1f} ms vs DeltaGraph "
           f"{deltagraph_mean * 1000:.1f} ms (Log is x{slowdown:.1f} slower)")
     # Paper shape: the Log approach is far slower (20-23x at 2M events; the

@@ -75,7 +75,7 @@ def test_pattern_matching_over_history(benchmark, recorder,
         "total_matches_over_history": result["total_matches"],
         "timepoints_evaluated": len(result["per_time"]),
         "matches_at_final_time": len(result["per_time"][final_time]),
-    })
+    }, timing=True)
     print(f"\n[pattern matching] build {build_seconds:.2f}s, "
           f"history-wide query {query_seconds:.2f}s, "
           f"{result['total_matches']} matches over "

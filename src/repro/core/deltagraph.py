@@ -178,10 +178,6 @@ class DeltaGraphConfig:
         ``"packed"`` (struct-packed columnar format, pickle fallback for
         payloads outside its schema; see :mod:`repro.storage.packed`).
         ``None`` leaves the store's own codec untouched.
-    multipoint_workers:
-        Default thread count for multipoint retrieval: independent subtrees
-        of the Steiner plan execute concurrently (per-query ``workers``
-        arguments override this).
     events_per_leaf:
         Leaf-seal threshold for live ingestion: once this many appended
         events have accumulated in the recent eventlist, a new leaf is sealed
@@ -203,7 +199,6 @@ class DeltaGraphConfig:
     cache_max_bytes: int = 0
     cache_policy: str = "lru"
     codec: Optional[str] = None
-    multipoint_workers: int = 1
     events_per_leaf: Optional[int] = None
     seal_policy: str = "size"
 
@@ -242,8 +237,6 @@ class DeltaGraphConfig:
                 resolve_codec(self.codec)
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from None
-        if self.multipoint_workers < 1:
-            raise ConfigurationError("multipoint_workers must be >= 1")
         if self.events_per_leaf is not None and self.events_per_leaf < 1:
             raise ConfigurationError("events_per_leaf must be >= 1")
         if self.seal_policy not in ("size", "manual"):
@@ -439,7 +432,6 @@ class DeltaGraph:
               cache_max_bytes: int = 0,
               cache_policy: str = "lru",
               codec: Optional[str] = None,
-              multipoint_workers: int = 1,
               events_per_leaf: Optional[int] = None,
               seal_policy: str = "size",
               start_time: Optional[int] = None) -> "DeltaGraph":
@@ -454,9 +446,8 @@ class DeltaGraph:
         index protocol of :mod:`repro.auxindex.framework`.  ``cache`` (or the
         ``cache_max_bytes``/``cache_policy`` knobs) enables the cross-query
         :class:`~repro.cache.delta_cache.DeltaCache`.  ``codec`` selects the
-        stored-payload serialization (see :class:`DeltaGraphConfig`);
-        ``multipoint_workers`` sets the default parallelism of
-        :meth:`get_snapshots`.  ``start_time`` pins the timestamp of leaf 0
+        stored-payload serialization (see :class:`DeltaGraphConfig`).
+        ``start_time`` pins the timestamp of leaf 0
         (the ``G_0`` snapshot); by default it is inferred as one tick before
         the first event.  An era shard of a
         :class:`~repro.sharding.federation.ShardedHistoryIndex` opens with a
@@ -469,7 +460,7 @@ class DeltaGraph:
             differential_functions=differential_functions,
             num_partitions=num_partitions,
             cache_max_bytes=cache_max_bytes, cache_policy=cache_policy,
-            codec=codec, multipoint_workers=multipoint_workers,
+            codec=codec,
             events_per_leaf=events_per_leaf, seal_policy=seal_policy)
         index = cls(store=store, config=config, cache=cache)
         index._bulk_load(EventList(events), aux_indexes or [],
@@ -1078,109 +1069,37 @@ class DeltaGraph:
 
     def get_snapshots(self, times: Sequence[int],
                       components: Optional[Sequence[str]] = None,
-                      partitions: Optional[Sequence[int]] = None,
-                      workers: Optional[int] = None) -> List[GraphSnapshot]:
+                      partitions: Optional[Sequence[int]] = None
+                      ) -> List[GraphSnapshot]:
         """Retrieve several snapshots with one multipoint plan (Section 4.4).
 
         The Steiner-tree plan shares deltas between the requested timepoints,
         avoiding the duplicate reads a sequence of singlepoint queries would
-        perform (multi-query optimization, Figure 8c).  ``workers`` (default:
-        ``DeltaGraphConfig.multipoint_workers``) executes independent
-        subtrees of the plan — one per super-root child it touches — on a
-        thread pool, sharing the prefetched payload scratch.
+        perform (multi-query optimization, Figure 8c).
         """
         if not times:
             return []
         components = self._normalize_components(components)
         steps, node_to_time, ordered_ids = self._plan_steiner(times,
                                                               components)
-        if workers is None:
-            workers = self.config.multipoint_workers
         results = self._execute_tree(steps, node_to_time, components,
-                                     partitions, workers=workers)
+                                     partitions)
         ordered = [results[node_id] for node_id in ordered_ids]
         for snapshot, time in zip(ordered, times):
             self._apply_recent_events(snapshot, time, components)
         return ordered
 
-    @staticmethod
-    def _split_subtrees(steps: List[PlanStep]) -> List[List[PlanStep]]:
-        """Partition Steiner steps into the subtrees hanging off the super-root.
-
-        Each group is the step set of one connected component of the plan
-        with the super-root removed, plus the super-root edges entering it —
-        an independently executable unit (the working snapshot at the
-        super-root is the empty graph, so subtrees share no state).
-        """
-        adjacency: Dict[str, List[Tuple[str, PlanStep]]] = {}
-        root_steps: List[PlanStep] = []
-        for step in steps:
-            a, b = step.edge.source, step.edge.target
-            if SUPER_ROOT_ID in (a, b):
-                root_steps.append(step)
-                continue
-            adjacency.setdefault(a, []).append((b, step))
-            adjacency.setdefault(b, []).append((a, step))
-        groups: List[List[PlanStep]] = []
-        component_of: Dict[str, int] = {}
-        for root_step in root_steps:
-            a, b = root_step.edge.source, root_step.edge.target
-            start = b if a == SUPER_ROOT_ID else a
-            if start in component_of:
-                # A second super-root edge into an already-discovered
-                # component (e.g. a materialized shortcut next to a delta).
-                groups[component_of[start]].append(root_step)
-                continue
-            index = len(groups)
-            group = [root_step]
-            seen_steps = {id(root_step)}
-            component_of[start] = index
-            stack = [start]
-            while stack:
-                node = stack.pop()
-                for neighbor, step in adjacency.get(node, []):
-                    if id(step) not in seen_steps:
-                        seen_steps.add(id(step))
-                        group.append(step)
-                    if neighbor not in component_of:
-                        component_of[neighbor] = index
-                        stack.append(neighbor)
-            groups.append(group)
-        return groups if groups else [steps]
-
     def _execute_tree(self, steps: List[PlanStep],
                       node_to_time: Dict[str, int],
                       components: Sequence[str],
-                      partitions: Optional[Sequence[int]],
-                      workers: int = 1) -> Dict[str, GraphSnapshot]:
-        """Execute a Steiner-tree plan, optionally one subtree per thread.
-
-        All payloads are prefetched into one shared scratch first; with
-        ``workers > 1`` the plan is split at the super-root and each subtree
-        runs on its own thread (they start from the empty graph and share
-        only the read-mostly scratch, so no locking is needed beyond the
-        GIL's per-operation atomicity).
-        """
+                      partitions: Optional[Sequence[int]]
+                      ) -> Dict[str, GraphSnapshot]:
+        """Execute a Steiner-tree plan: prefetch every payload into one
+        scratch, then traverse the tree from the super-root."""
         delta_cache: Dict = {}
         self._prefetch_steps(steps, components, partitions, local=delta_cache)
-        groups = [steps]
-        if workers > 1:
-            split = self._split_subtrees(steps)
-            if len(split) > 1:
-                groups = split
-        results: Dict[str, GraphSnapshot] = {}
-        if len(groups) > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(workers, len(groups))) as pool:
-                futures = [
-                    pool.submit(self._traverse_tree, group, node_to_time,
-                                components, delta_cache, partitions)
-                    for group in groups]
-                for future in futures:
-                    results.update(future.result())
-        else:
-            results = self._traverse_tree(steps, node_to_time, components,
-                                          delta_cache, partitions)
+        results = self._traverse_tree(steps, node_to_time, components,
+                                      delta_cache, partitions)
         missing = set(node_to_time) - set(results)
         if missing:
             raise QueryError(f"multipoint plan did not reach {missing}")
@@ -1192,7 +1111,7 @@ class DeltaGraph:
                        delta_cache: Dict,
                        partitions: Optional[Sequence[int]]
                        ) -> Dict[str, GraphSnapshot]:
-        """Iterative depth-first execution of (a subtree of) a Steiner plan.
+        """Iterative depth-first execution of a Steiner plan.
 
         An explicit stack replaces the old recursive DFS, so deep skeletons
         (small leaves, long histories) cannot hit Python's recursion limit.

@@ -91,14 +91,14 @@ class HistoryManager:
         ``cache_policy``).
 
         ``shard_policy`` switches to a **time-sharded federation**: the
-        trace is cut into eras, each era builds its own DeltaGraph (in
-        parallel, over a store from ``shard_store_factory``; in-memory
-        stores by default), and the manager serves queries through the
-        cross-shard router — transparently to every caller.
-        ``shard_build_workers`` bounds the construction pool.
+        trace is cut into eras, each era builds its own DeltaGraph (over a
+        store from ``shard_store_factory``; in-memory stores by default),
+        and the manager serves queries through the cross-shard router —
+        transparently to every caller.
         ``shard_worker_mode="subprocess"`` builds and serves each sealed
         era in its own worker process (with automatic in-process fallback
-        — see :mod:`repro.sharding.workers`).  See
+        — see :mod:`repro.sharding.workers`), at most
+        ``shard_build_workers`` of them building at once.  See
         :class:`~repro.sharding.federation.ShardedHistoryIndex`.
         """
         if shard_policy is not None:
@@ -148,15 +148,10 @@ class HistoryManager:
         return attr_filter.apply(snapshot)
 
     def retrieve_many(self, times: Sequence[int],
-                      attr_filter: AttributeFilter,
-                      workers: Optional[int] = None) -> List[GraphSnapshot]:
-        """Retrieve several snapshots with one multipoint plan.
-
-        ``workers`` threads execute independent subtrees of the plan
-        (default: the index's ``multipoint_workers`` configuration).
-        """
+                      attr_filter: AttributeFilter) -> List[GraphSnapshot]:
+        """Retrieve several snapshots with one multipoint plan."""
         snapshots = self.index.get_snapshots(
-            times, components=attr_filter.components(), workers=workers)
+            times, components=attr_filter.components())
         return [attr_filter.apply(s) for s in snapshots]
 
     def retrieve_interval(self, start: int, end: int,
@@ -343,16 +338,10 @@ class GraphManager:
         return self._register(snapshot, time)
 
     def get_hist_graphs(self, times: Sequence[int],
-                        attr_options: str = "",
-                        workers: Optional[int] = None) -> List[HistGraph]:
-        """``GetHistGraphs(t_list, attr_options)`` — multipoint retrieval.
-
-        ``workers`` threads execute independent subtrees of the multipoint
-        plan (default: the index's ``multipoint_workers`` configuration).
-        """
+                        attr_options: str = "") -> List[HistGraph]:
+        """``GetHistGraphs(t_list, attr_options)`` — multipoint retrieval."""
         attr_filter = parse_attr_options(attr_options)
-        snapshots = self.history.retrieve_many(times, attr_filter,
-                                               workers=workers)
+        snapshots = self.history.retrieve_many(times, attr_filter)
         return [self._register(snapshot, time)
                 for snapshot, time in zip(snapshots, times)]
 

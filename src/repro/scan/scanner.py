@@ -165,10 +165,10 @@ class _ShardedReplayCursor:
     def __init__(self, federation, components: Sequence[str],
                  start_time: int, end_time: int, stats: ScanStats) -> None:
         self._shards = federation.scan_shards(start_time, end_time)
-        # replay_source() is the shard's DeltaGraph in-process, or a
-        # worker-preferring failover facade when the era is promoted —
-        # either way the replay contract (replay_state + fetch_eventlist)
-        # and the zero-foreign-shard-reads property are identical.
+        # A shard replays from its worker process or its in-process index
+        # (EraShard's read path decides); either way the replay contract
+        # (replay_state + fetch_eventlist) and the zero-foreign-shard-reads
+        # property are identical.
         self._cursors = [
             _IndexReplayCursor(shard.replay_source(), components, start_time,
                                stats)

@@ -19,18 +19,8 @@ doc-tested walkthrough.
 
 from .client import ServiceBatch, ServiceClient
 from .protocol import AdmissionRejected, ProtocolError, RemoteError, ServiceError
+from .server import ServiceServer
 from .session import Lease, LeaseTable
-
-
-def __getattr__(name: str):
-    # Imported lazily (PEP 562): the server pulls in the query managers,
-    # which pull in the sharded federation, whose worker RPC layer reuses
-    # this package's protocol module — an eager import here would close
-    # that loop into a cycle.  Everything below the server stays eager.
-    if name == "ServiceServer":
-        from .server import ServiceServer
-        return ServiceServer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AdmissionRejected",

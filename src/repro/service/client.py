@@ -30,6 +30,7 @@ from .protocol import (
     IngestOp,
     Operation,
     PingOp,
+    PongResult,
     ProtocolError,
     Result,
     ScanOp,
@@ -117,10 +118,12 @@ class ServiceClient:
                                 f"request id {request_id}")
         return results
 
-    def _one(self, op: Operation) -> Result:
+    def _one(self, op: Operation, expected: type) -> Result:
         result = self.request([op])[0]
         if isinstance(result, ErrorResult):
             raise result.exception()
+        if not isinstance(result, expected):
+            raise ProtocolError(f"unexpected result {result!r}")
         return result
 
     # ------------------------------------------------------------------
@@ -128,56 +131,45 @@ class ServiceClient:
     # ------------------------------------------------------------------
 
     def ping(self) -> None:
-        self._one(PingOp())
+        self._one(PingOp(), PongResult)
 
     def get_snapshot(self, time: int, attr_options: str = "") -> GraphSnapshot:
         """``GetHistGraph`` over the wire."""
-        result = self._one(GetSnapshotOp(time, attr_options))
-        if not isinstance(result, SnapshotResult):
-            raise ProtocolError(f"unexpected result {result!r}")
+        result = self._one(GetSnapshotOp(time, attr_options), SnapshotResult)
         return result.snapshot()
 
     def get_snapshots(self, times: Sequence[int],
                       attr_options: str = "") -> List[GraphSnapshot]:
         """Multipoint retrieval: one frame, one server-side plan."""
-        result = self._one(GetSnapshotsOp(tuple(times), attr_options))
-        if not isinstance(result, SnapshotsResult):
-            raise ProtocolError(f"unexpected result {result!r}")
+        result = self._one(GetSnapshotsOp(tuple(times), attr_options), SnapshotsResult)
         return result.snapshots()
 
     def get_interval(self, start: int, end: int,
                      attr_options: str = "") -> GraphSnapshot:
         """Elements added in ``[start, end)`` plus transient events."""
-        result = self._one(GetIntervalOp(start, end, attr_options))
-        if not isinstance(result, SnapshotsResult) or not result.steps:
+        result = self._one(GetIntervalOp(start, end, attr_options),
+                           SnapshotsResult)
+        if not result.steps:
             raise ProtocolError(f"unexpected result {result!r}")
         return result.snapshots()[0]
 
     def scan(self, times: Sequence[int]) -> List[GraphSnapshot]:
         """Evolution scan: seed + delta replay server-side, one frame back."""
-        result = self._one(ScanOp(tuple(times)))
-        if not isinstance(result, SnapshotsResult):
-            raise ProtocolError(f"unexpected result {result!r}")
+        result = self._one(ScanOp(tuple(times)), SnapshotsResult)
         return result.snapshots()
 
     def ingest(self, events: Sequence[Event]) -> int:
         """Append events through the serialized write path; returns count."""
-        result = self._one(IngestOp(tuple(events)))
-        if not isinstance(result, CountResult):
-            raise ProtocolError(f"unexpected result {result!r}")
+        result = self._one(IngestOp(tuple(events)), CountResult)
         return result.value
 
     def seal(self, partial: bool = True) -> int:
-        result = self._one(SealOp(partial))
-        if not isinstance(result, CountResult):
-            raise ProtocolError(f"unexpected result {result!r}")
+        result = self._one(SealOp(partial), CountResult)
         return result.value
 
     def stats(self) -> Dict:
         """The server's aggregated ``stats_report()``."""
-        result = self._one(StatsOp())
-        if not isinstance(result, StatsResult):
-            raise ProtocolError(f"unexpected result {result!r}")
+        result = self._one(StatsOp(), StatsResult)
         return result.report
 
     def batch(self) -> "ServiceBatch":

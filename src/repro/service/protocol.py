@@ -1,63 +1,67 @@
-"""Length-prefixed batched wire protocol of the query service.
+"""Batched wire protocol of the query service (magic ``0xC5``).
 
-One *frame* carries one request or one response::
+Framing, the field codecs and the relayed-error registry are the shared
+wire layer's (:mod:`repro.wire`); this module adds the service's
+vocabulary — the operation and result dataclasses and the two tables that
+give each one's tag byte and ordered field layout::
 
-    frame    := length(u32 big-endian) body
-    body     := MAGIC(1) VERSION(1) kind(1) payload
-    request  := request_id(uvarint) op_count(uvarint) op*
-    response := request_id(uvarint) status(1) results | rejection
+    request  := header request_id(uvarint) op_count(uvarint) (opcode(1) field*)*
+    response := header request_id(uvarint) status=0 count(uvarint) (kind(1) field*)*
+              | header request_id(uvarint) status=1 code(str) message(str)
 
-Integers use the packed codec's varint primitives (zigzag for signed), so
-a typical single-op request is ~10 bytes of envelope.  Requests are
-*batches*: several operations ride in one frame and their results come
-back in one frame, in op order — the round-trip cost of a K-point
-analysis is one frame pair, not K (``benchmarks/test_service_throughput.py``
-asserts the byte accounting).
+Requests are *batches*: several operations ride in one frame and their
+results come back in one frame, in op order — the round-trip cost of a
+K-point analysis is one frame pair, not K
+(``benchmarks/test_service_throughput.py`` asserts the byte accounting).
+Snapshot-shaped results and ingest payloads are packed-codec bytes
+(:func:`~repro.wire.encode_snapshot`).
 
-Snapshot-shaped results reuse the packed columnar codec
-(:class:`~repro.storage.packed.PackedCodec`): a snapshot's element map *is*
-an additions-only :class:`~repro.core.delta.Delta`, so the same byte layout
-that stores deltas on disk serializes query responses on the wire — and
-ingest requests ship their events through the codec's order-preserving
-event columns.
-
-Operations and results are small frozen dataclasses; both sides share the
-encoders/decoders below, so client and server cannot drift.  Errors travel
-as ``(code, message)`` pairs and are re-raised typed on the client
-(:func:`exception_for`); an admission-cap rejection arrives as
-:class:`AdmissionRejected`.
+Both sides drive the same tables, so client and server cannot drift.
+Per-operation failures travel as :class:`ErrorResult` ``(code, message)``
+pairs and are re-raised typed on the client (:func:`exception_for`); a
+whole-request rejection (admission cap, malformed frame) decodes by
+raising, e.g. :class:`AdmissionRejected`.
 """
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Type, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
-from ..core.delta import Delta
+from .. import wire
 from ..core.events import Event
 from ..core.snapshot import GraphSnapshot
-from ..errors import (
-    ConfigurationError,
-    EventError,
-    QueryError,
-    ReproError,
-    TimeOutOfRangeError,
-)
-from ..storage.packed import (
-    PackedCodec,
-    _read_str,
-    _read_uvarint,
-    _read_varint,
-    _write_str,
-    _write_uvarint,
-    _write_varint,
+from ..errors import ReproError
+from ..wire import (
+    BLOB,
+    BOOL,
+    EVENTS,
+    JSON,
+    KIND_REQUEST,
+    KIND_RESPONSE,
+    MAX_FRAME_BYTES,
+    STATUS_OK,
+    STR,
+    TIMES,
+    VARINT,
+    WIRE_CODEC,
+    FieldCodec,
+    RemoteError,
+    encode_snapshot,
+    error_code_for,
+    exception_for,
+    read_blob,
+    read_uvarint,
+    read_varint,
+    write_blob,
+    write_uvarint,
+    write_varint,
 )
 
 __all__ = [
     "AdmissionRejected",
     "CountResult",
+    "ENVELOPE",
     "ErrorResult",
     "GetIntervalOp",
     "GetSnapshotOp",
@@ -76,6 +80,7 @@ __all__ = [
     "SnapshotsResult",
     "StatsOp",
     "StatsResult",
+    "WIRE_CODEC",
     "decode_request",
     "decode_response",
     "decode_snapshot",
@@ -91,22 +96,6 @@ __all__ = [
 
 SERVICE_MAGIC = 0xC5
 PROTOCOL_VERSION = 1
-
-#: Hard cap on one frame's body; oversized lengths indicate a desynced or
-#: hostile peer and are rejected before any allocation.
-MAX_FRAME_BYTES = 64 << 20
-
-_LENGTH = struct.Struct(">I")
-
-_KIND_REQUEST = 1
-_KIND_RESPONSE = 2
-
-_STATUS_OK = 0
-_STATUS_REJECTED = 1
-
-#: The wire codec for snapshot/scan responses and ingest payloads — the
-#: same packed columnar codec the storage layer uses.
-WIRE_CODEC = PackedCodec()
 
 
 # ---------------------------------------------------------------------------
@@ -131,46 +120,19 @@ class AdmissionRejected(ServiceError):
     code = "admission-rejected"
 
 
-class RemoteError(ServiceError):
-    """An unclassified failure relayed from the server."""
+wire.register_errors(AdmissionRejected, ProtocolError)
 
-    code = "internal"
+ENVELOPE = wire.Envelope(SERVICE_MAGIC, PROTOCOL_VERSION, ProtocolError)
 
-
-#: Exception -> wire code, most specific first (order matters).
-_CODE_BY_TYPE: Tuple[Tuple[type, str], ...] = (
-    (AdmissionRejected, AdmissionRejected.code),
-    (ProtocolError, ProtocolError.code),
-    (TimeOutOfRangeError, "time-out-of-range"),
-    (QueryError, "query"),
-    (EventError, "event"),
-    (ConfigurationError, "config"),
-    (ReproError, "repro"),
-)
-
-#: Wire code -> exception type raised on the client.
-_TYPE_BY_CODE: Dict[str, Type[Exception]] = {
-    AdmissionRejected.code: AdmissionRejected,
-    ProtocolError.code: ProtocolError,
-    "time-out-of-range": TimeOutOfRangeError,
-    "query": QueryError,
-    "event": EventError,
-    "config": ConfigurationError,
-    "repro": ReproError,
-}
+encode_frame = ENVELOPE.encode_frame
+frame_length = ENVELOPE.frame_length
 
 
-def error_code_for(exc: BaseException) -> str:
-    """The wire error code a server reports for ``exc``."""
-    for exc_type, code in _CODE_BY_TYPE:
-        if isinstance(exc, exc_type):
-            return code
-    return RemoteError.code
-
-
-def exception_for(code: str, message: str) -> Exception:
-    """The typed exception a client raises for a relayed ``(code, message)``."""
-    return _TYPE_BY_CODE.get(code, RemoteError)(message)
+def decode_snapshot(payload: bytes, time: int) -> GraphSnapshot:
+    """Inverse of :func:`encode_snapshot`; corrupt payloads raise
+    :class:`ProtocolError`."""
+    with ENVELOPE.decoding("snapshot payload"):
+        return wire.decode_snapshot(payload, time)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +182,9 @@ class IngestOp:
 
     events: Tuple[Event, ...]
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "events", tuple(self.events))
+
 
 @dataclass(frozen=True)
 class SealOp:
@@ -236,14 +201,18 @@ class StatsOp:
 Operation = Union[PingOp, GetSnapshotOp, GetSnapshotsOp, GetIntervalOp,
                   ScanOp, IngestOp, SealOp, StatsOp]
 
-_OP_PING = 0
-_OP_GET_SNAPSHOT = 1
-_OP_GET_SNAPSHOTS = 2
-_OP_GET_INTERVAL = 3
-_OP_SCAN = 4
-_OP_INGEST = 5
-_OP_SEAL = 6
-_OP_STATS = 7
+#: opcode -> (operation, its payload fields in wire order).
+OPERATIONS = wire.RecordTable(ProtocolError, "operation", "opcode", {
+    0: (PingOp, ()),
+    1: (GetSnapshotOp, (("time", VARINT), ("attr_options", STR))),
+    2: (GetSnapshotsOp, (("times", TIMES), ("attr_options", STR))),
+    3: (GetIntervalOp, (("start", VARINT), ("end", VARINT),
+                        ("attr_options", STR))),
+    4: (ScanOp, (("times", TIMES),)),
+    5: (IngestOp, (("events", EVENTS),)),
+    6: (SealOp, (("partial", BOOL),)),
+    7: (StatsOp, ()),
+})
 
 
 # ---------------------------------------------------------------------------
@@ -304,253 +273,73 @@ class ErrorResult:
 Result = Union[PongResult, SnapshotResult, SnapshotsResult, CountResult,
                StatsResult, ErrorResult]
 
-_R_ERROR = 0
-_R_PONG = 1
-_R_SNAPSHOT = 2
-_R_SNAPSHOTS = 3
-_R_COUNT = 4
-_R_STATS = 5
-
-
-# ---------------------------------------------------------------------------
-# snapshot / event payloads (packed-codec reuse)
-# ---------------------------------------------------------------------------
-
-def encode_snapshot(snapshot: GraphSnapshot) -> bytes:
-    """Serialize a snapshot with the packed columnar codec.
-
-    A snapshot is exactly an additions-only delta from the empty graph, so
-    the storage codec's delta layout (sorted delta-coded ids, grouped typed
-    values, compression above the threshold) is the wire format too.
-    """
-    return WIRE_CODEC.encode(Delta(additions=dict(snapshot.items())))
-
-
-def decode_snapshot(payload: bytes, time: int) -> GraphSnapshot:
-    """Inverse of :func:`encode_snapshot`."""
-    delta = WIRE_CODEC.decode(payload)
-    if not isinstance(delta, Delta):
-        raise ProtocolError("snapshot payload did not decode to a delta")
-    return GraphSnapshot(dict(delta.additions), time=time)
-
-
-def _encode_events(events: Sequence[Event]) -> bytes:
-    return WIRE_CODEC.encode(list(events))
-
-
-def _decode_events(payload: bytes) -> Tuple[Event, ...]:
-    events = WIRE_CODEC.decode(payload)
-    if not isinstance(events, list):
-        raise ProtocolError("ingest payload did not decode to an event list")
-    return tuple(events)
-
-
-def _write_bytes(out: bytearray, blob: bytes) -> None:
-    _write_uvarint(out, len(blob))
-    out.extend(blob)
-
-
-def _read_bytes(data: bytes, pos: int) -> Tuple[bytes, int]:
-    length, pos = _read_uvarint(data, pos)
-    return bytes(data[pos:pos + length]), pos + length
-
-
-def _write_times(out: bytearray, times: Sequence[int]) -> None:
-    _write_uvarint(out, len(times))
+def _write_steps(out: bytearray, steps: Sequence[Tuple[int, bytes]]) -> None:
+    write_uvarint(out, len(steps))
     previous = 0
-    for time in times:
-        _write_varint(out, time - previous)
+    for time, payload in steps:
+        write_varint(out, time - previous)
         previous = time
+        write_blob(out, payload)
 
 
-def _read_times(data: bytes, pos: int) -> Tuple[Tuple[int, ...], int]:
-    count, pos = _read_uvarint(data, pos)
-    times = []
+def _read_steps(data: bytes, pos: int
+                ) -> Tuple[Tuple[Tuple[int, bytes], ...], int]:
+    count, pos = read_uvarint(data, pos)
+    steps = []
     previous = 0
     for _ in range(count):
-        delta, pos = _read_varint(data, pos)
+        delta, pos = read_varint(data, pos)
         previous += delta
-        times.append(previous)
-    return tuple(times), pos
+        payload, pos = read_blob(data, pos)
+        steps.append((previous, payload))
+    return tuple(steps), pos
+
+
+#: A series of packed snapshots with delta-coded times.
+_STEPS = FieldCodec("steps", _write_steps, _read_steps)
+
+#: result kind -> (result, its payload fields in wire order).
+RESULTS = wire.RecordTable(ProtocolError, "result", "result kind", {
+    0: (ErrorResult, (("code", STR), ("message", STR))),
+    1: (PongResult, ()),
+    2: (SnapshotResult, (("time", VARINT), ("payload", BLOB))),
+    3: (SnapshotsResult, (("steps", _STEPS),)),
+    4: (CountResult, (("value", VARINT),)),
+    5: (StatsResult, (("report", JSON),)),
+})
 
 
 # ---------------------------------------------------------------------------
-# framing
-# ---------------------------------------------------------------------------
-
-def encode_frame(body: bytes) -> bytes:
-    """Prefix a body with its u32 length."""
-    if len(body) > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame body of {len(body)} bytes exceeds the "
-                            f"{MAX_FRAME_BYTES}-byte cap")
-    return _LENGTH.pack(len(body)) + body
-
-
-def frame_length(prefix: bytes) -> int:
-    """Decode and validate a 4-byte length prefix."""
-    if len(prefix) != _LENGTH.size:
-        raise ProtocolError("truncated frame length prefix")
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"frame length {length} exceeds the "
-                            f"{MAX_FRAME_BYTES}-byte cap")
-    return length
-
-
-def _body_header(kind: int) -> bytearray:
-    return bytearray((SERVICE_MAGIC, PROTOCOL_VERSION, kind))
-
-
-def _check_header(body: bytes, expected_kind: int) -> None:
-    if len(body) < 3 or body[0] != SERVICE_MAGIC:
-        raise ProtocolError("bad frame magic")
-    if body[1] > PROTOCOL_VERSION:
-        raise ProtocolError(f"frame version {body[1]} is newer than this "
-                            f"endpoint (supports <= {PROTOCOL_VERSION})")
-    if body[2] != expected_kind:
-        raise ProtocolError(f"unexpected frame kind {body[2]} "
-                            f"(wanted {expected_kind})")
-
-
-# ---------------------------------------------------------------------------
-# request encode / decode
+# request / response bodies
 # ---------------------------------------------------------------------------
 
 def encode_request(request_id: int, ops: Sequence[Operation]) -> bytes:
     """Serialize one batched request body (frame it with
     :func:`encode_frame`)."""
-    out = _body_header(_KIND_REQUEST)
-    _write_uvarint(out, request_id)
-    _write_uvarint(out, len(ops))
-    for op in ops:
-        if isinstance(op, PingOp):
-            out.append(_OP_PING)
-        elif isinstance(op, GetSnapshotOp):
-            out.append(_OP_GET_SNAPSHOT)
-            _write_varint(out, op.time)
-            _write_str(out, op.attr_options)
-        elif isinstance(op, GetSnapshotsOp):
-            out.append(_OP_GET_SNAPSHOTS)
-            _write_times(out, op.times)
-            _write_str(out, op.attr_options)
-        elif isinstance(op, GetIntervalOp):
-            out.append(_OP_GET_INTERVAL)
-            _write_varint(out, op.start)
-            _write_varint(out, op.end)
-            _write_str(out, op.attr_options)
-        elif isinstance(op, ScanOp):
-            out.append(_OP_SCAN)
-            _write_times(out, op.times)
-        elif isinstance(op, IngestOp):
-            out.append(_OP_INGEST)
-            _write_bytes(out, _encode_events(op.events))
-        elif isinstance(op, SealOp):
-            out.append(_OP_SEAL)
-            out.append(1 if op.partial else 0)
-        elif isinstance(op, StatsOp):
-            out.append(_OP_STATS)
-        else:
-            raise ProtocolError(f"unknown operation {op!r}")
+    out = ENVELOPE.header(KIND_REQUEST, request_id)
+    OPERATIONS.write(out, ops)
     return bytes(out)
 
 
 def decode_request(body: bytes) -> Tuple[int, List[Operation]]:
     """Inverse of :func:`encode_request`."""
-    _check_header(body, _KIND_REQUEST)
-    try:
-        pos = 3
-        request_id, pos = _read_uvarint(body, pos)
-        count, pos = _read_uvarint(body, pos)
-        ops: List[Operation] = []
-        for _ in range(count):
-            opcode = body[pos]
-            pos += 1
-            if opcode == _OP_PING:
-                ops.append(PingOp())
-            elif opcode == _OP_GET_SNAPSHOT:
-                time, pos = _read_varint(body, pos)
-                attr_options, pos = _read_str(body, pos)
-                ops.append(GetSnapshotOp(time, attr_options))
-            elif opcode == _OP_GET_SNAPSHOTS:
-                times, pos = _read_times(body, pos)
-                attr_options, pos = _read_str(body, pos)
-                ops.append(GetSnapshotsOp(times, attr_options))
-            elif opcode == _OP_GET_INTERVAL:
-                start, pos = _read_varint(body, pos)
-                end, pos = _read_varint(body, pos)
-                attr_options, pos = _read_str(body, pos)
-                ops.append(GetIntervalOp(start, end, attr_options))
-            elif opcode == _OP_SCAN:
-                times, pos = _read_times(body, pos)
-                ops.append(ScanOp(times))
-            elif opcode == _OP_INGEST:
-                payload, pos = _read_bytes(body, pos)
-                ops.append(IngestOp(_decode_events(payload)))
-            elif opcode == _OP_SEAL:
-                ops.append(SealOp(partial=bool(body[pos])))
-                pos += 1
-            elif opcode == _OP_STATS:
-                ops.append(StatsOp())
-            else:
-                raise ProtocolError(f"unknown opcode {opcode}")
-        if pos != len(body):
-            raise ProtocolError(f"{len(body) - pos} trailing bytes after "
-                                "the last operation")
-        return request_id, ops
-    except (IndexError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"truncated or corrupt request frame: {exc}") \
-            from None
+    ENVELOPE.check_header(body, KIND_REQUEST)
+    with ENVELOPE.decoding("request frame"):
+        request_id, pos = read_uvarint(body, 3)
+        return request_id, OPERATIONS.read(body, pos)
 
-
-# ---------------------------------------------------------------------------
-# response encode / decode
-# ---------------------------------------------------------------------------
 
 def encode_response(request_id: int, results: Sequence[Result]) -> bytes:
     """Serialize one batched response body (result per op, in op order)."""
-    out = _body_header(_KIND_RESPONSE)
-    _write_uvarint(out, request_id)
-    out.append(_STATUS_OK)
-    _write_uvarint(out, len(results))
-    for result in results:
-        if isinstance(result, ErrorResult):
-            out.append(_R_ERROR)
-            _write_str(out, result.code)
-            _write_str(out, result.message)
-        elif isinstance(result, PongResult):
-            out.append(_R_PONG)
-        elif isinstance(result, SnapshotResult):
-            out.append(_R_SNAPSHOT)
-            _write_varint(out, result.time)
-            _write_bytes(out, result.payload)
-        elif isinstance(result, SnapshotsResult):
-            out.append(_R_SNAPSHOTS)
-            _write_uvarint(out, len(result.steps))
-            previous = 0
-            for time, payload in result.steps:
-                _write_varint(out, time - previous)
-                previous = time
-                _write_bytes(out, payload)
-        elif isinstance(result, CountResult):
-            out.append(_R_COUNT)
-            _write_varint(out, result.value)
-        elif isinstance(result, StatsResult):
-            out.append(_R_STATS)
-            _write_bytes(out, json.dumps(result.report,
-                                         sort_keys=True).encode("utf-8"))
-        else:
-            raise ProtocolError(f"unknown result {result!r}")
+    out = ENVELOPE.header(KIND_RESPONSE, request_id)
+    out.append(STATUS_OK)
+    RESULTS.write(out, results)
     return bytes(out)
 
 
 def encode_rejection(request_id: int, code: str, message: str) -> bytes:
     """Serialize a whole-request rejection (admission / protocol)."""
-    out = _body_header(_KIND_RESPONSE)
-    _write_uvarint(out, request_id)
-    out.append(_STATUS_REJECTED)
-    _write_str(out, code)
-    _write_str(out, message)
-    return bytes(out)
+    return ENVELOPE.encode_error(request_id, code, message)
 
 
 def decode_response(body: bytes) -> Tuple[int, List[Result]]:
@@ -559,55 +348,7 @@ def decode_response(body: bytes) -> Tuple[int, List[Result]]:
     A rejection decodes by *raising* its typed exception — the request
     never executed, so there are no per-op results to return.
     """
-    _check_header(body, _KIND_RESPONSE)
-    try:
-        pos = 3
-        request_id, pos = _read_uvarint(body, pos)
-        status = body[pos]
-        pos += 1
-        if status == _STATUS_REJECTED:
-            code, pos = _read_str(body, pos)
-            message, pos = _read_str(body, pos)
-            raise exception_for(code, message)
-        if status != _STATUS_OK:
-            raise ProtocolError(f"unknown response status {status}")
-        count, pos = _read_uvarint(body, pos)
-        results: List[Result] = []
-        for _ in range(count):
-            kind = body[pos]
-            pos += 1
-            if kind == _R_ERROR:
-                code, pos = _read_str(body, pos)
-                message, pos = _read_str(body, pos)
-                results.append(ErrorResult(code, message))
-            elif kind == _R_PONG:
-                results.append(PongResult())
-            elif kind == _R_SNAPSHOT:
-                time, pos = _read_varint(body, pos)
-                payload, pos = _read_bytes(body, pos)
-                results.append(SnapshotResult(time, payload))
-            elif kind == _R_SNAPSHOTS:
-                steps, pos = _read_uvarint(body, pos)
-                series = []
-                previous = 0
-                for _ in range(steps):
-                    delta, pos = _read_varint(body, pos)
-                    previous += delta
-                    payload, pos = _read_bytes(body, pos)
-                    series.append((previous, payload))
-                results.append(SnapshotsResult(tuple(series)))
-            elif kind == _R_COUNT:
-                value, pos = _read_varint(body, pos)
-                results.append(CountResult(value))
-            elif kind == _R_STATS:
-                payload, pos = _read_bytes(body, pos)
-                results.append(StatsResult(json.loads(payload)))
-            else:
-                raise ProtocolError(f"unknown result kind {kind}")
-        if pos != len(body):
-            raise ProtocolError(f"{len(body) - pos} trailing bytes after "
-                                "the last result")
-        return request_id, results
-    except (IndexError, UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"truncated or corrupt response frame: {exc}") \
-            from None
+    ENVELOPE.check_header(body, KIND_RESPONSE)
+    with ENVELOPE.decoding("response frame"):
+        request_id, pos = read_uvarint(body, 3)
+        return request_id, RESULTS.read(body, ENVELOPE.read_status(body, pos))

@@ -18,7 +18,6 @@ from .policy import (
 )
 from .shard import EraShard
 from .workers import (
-    FailoverReplaySource,
     ShardWorker,
     WorkerCrashed,
     WorkerError,
@@ -30,7 +29,6 @@ __all__ = [
     "EraShard",
     "EventCountPolicy",
     "ExplicitBoundariesPolicy",
-    "FailoverReplaySource",
     "ShardPolicy",
     "ShardWorker",
     "ShardedHistoryIndex",

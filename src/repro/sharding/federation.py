@@ -10,12 +10,13 @@ speak:
 * **routing** — each shard's initial graph is the previous era's final
   state, so a singlepoint query is answered entirely by the one shard
   owning its timepoint; multipoint queries split their point-set per shard
-  and fan the per-shard sub-plans out on a thread pool (each shard then
-  applies its own ``multipoint_workers`` parallelism within its plan);
-* **parallel construction** — era boundaries come from a
+  (each :class:`~repro.sharding.shard.EraShard` answers from its worker
+  process or in-process — the router does not know which), and fan the
+  sub-queries out on threads when worker processes can overlap them;
+* **independent construction** — era boundaries come from a
   :class:`~repro.sharding.policy.ShardPolicy`; boundary snapshots are
-  computed in one sequential replay, then every era's index builds
-  concurrently (independent stores, shared-nothing);
+  computed in one sequential replay, then every era's index builds from
+  its own events into its own store (concurrently, in subprocess mode);
 * **live ingestion** — appends are forwarded to the live tail; when the
   policy says an incoming event starts a new era, the tail is sealed
   (:meth:`EraShard.seal_era <repro.sharding.shard.EraShard.seal_era>`) and
@@ -39,7 +40,7 @@ from __future__ import annotations
 import bisect
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cache.delta_cache import CacheStats, DeltaCache
@@ -60,36 +61,30 @@ __all__ = ["ShardedHistoryIndex"]
 #: Valid values of the federation's ``worker_mode`` knob.
 _WORKER_MODES = ("inprocess", "subprocess")
 
-#: Upper bound on threads used for parallel era builds and cross-shard
-#: multipoint fan-out when the caller does not say otherwise.
+#: Upper bound on threads waiting on worker processes (parallel era builds,
+#: cross-shard multipoint fan-out).
 _DEFAULT_POOL_CAP = 8
 
 
-def _aggregate_ingest(parts: Iterable[IngestStats]) -> IngestStats:
-    total = IngestStats()
+def _sum_stats(parts: Iterable):
+    """Field-wise sum of counter dataclasses (``IngestStats``/``IOStats``)."""
+    parts = list(parts)
+    total = type(parts[0])()
     for part in parts:
-        total.events_appended += part.events_appended
-        total.leaves_sealed += part.leaves_sealed
-        total.interiors_created += part.interiors_created
-        total.interiors_retired += part.interiors_retired
-        total.store_keys_written += part.store_keys_written
-        total.store_keys_deleted += part.store_keys_deleted
-        total.refinalizes += part.refinalizes
+        for counter in fields(total):
+            setattr(total, counter.name, getattr(total, counter.name)
+                    + getattr(part, counter.name))
     return total
 
 
-def _aggregate_io(parts: Iterable[IOStats]) -> IOStats:
-    total = IOStats()
-    for part in parts:
-        total.gets += part.gets
-        total.puts += part.puts
-        total.bytes_read += part.bytes_read
-        total.bytes_written += part.bytes_written
-        total.simulated_seconds += part.simulated_seconds
-        total.wall_seconds += part.wall_seconds
-        total.batch_gets += part.batch_gets
-        total.deletes += part.deletes
-    return total
+def _cache_recipe(cache: Optional[DeltaCache]) -> Optional[Tuple[int, str]]:
+    """The shared cache's ``(max_bytes, policy)`` recipe for workers.
+
+    Each worker builds its **own** cache from the recipe — cache entries
+    cannot be shared across the process boundary, but the byte/eviction
+    budget semantics carry over.
+    """
+    return None if cache is None else (cache.max_bytes, cache.policy_name)
 
 
 class ShardedHistoryIndex:
@@ -124,11 +119,10 @@ class ShardedHistoryIndex:
         #: event predates its provisional leaf-0 timestamp.
         self._tail_seed: Optional[GraphSnapshot] = None
         self._worker_mode = worker_mode
-        #: Federation-wide worker lifecycle counters (surfaced by
-        #: :meth:`stats_report` under ``totals["workers"]``).
-        self._worker_events = {"promotions": 0, "fallbacks": 0,
-                               "crashes": 0, "worker_builds": 0,
-                               "build_fallbacks": 0}
+        #: Worker lifecycle events the federation itself drives; each shard
+        #: counts its own fallbacks/crashes (see :attr:`_worker_events`).
+        self._lifecycle = {"promotions": 0, "worker_builds": 0,
+                           "build_fallbacks": 0}
         if worker_mode == "subprocess":
             self.promote_shards()
 
@@ -149,12 +143,14 @@ class ShardedHistoryIndex:
 
         ``store_factory`` maps a shard id to a fresh :class:`KVStore` (the
         default creates in-memory stores); it is retained for live-tail
-        rollovers.  ``build_workers`` bounds the construction thread pool.
+        rollovers.  ``build_workers`` caps how many worker processes build
+        at once (subprocess mode; in-process builds share one interpreter
+        lock, so they run one after another).
         The cache knobs create (or accept) **one** shared
         :class:`~repro.cache.delta_cache.DeltaCache` installed on every
         shard — per-store namespacing keeps their entries apart.  Remaining
-        ``index_kwargs`` (leaf size, arity, codec, ``multipoint_workers``,
-        ...) are applied to every shard's
+        ``index_kwargs`` (leaf size, arity, codec, ...) are applied to every
+        shard's
         :meth:`DeltaGraph.build <repro.core.deltagraph.DeltaGraph.build>`.
 
         With ``worker_mode="subprocess"`` each era builds in its **own
@@ -227,9 +223,9 @@ class ShardedHistoryIndex:
             boundaries.append(boundary)
 
         stores = [store_factory(i) for i in range(len(eras))]
-        cache_conf = ((cache.max_bytes, cache.policy_name)
-                      if cache is not None else None)
-        build_events = {"worker_builds": 0, "build_fallbacks": 0}
+        cache_conf = _cache_recipe(cache)
+        build_events = {"promotions": 0, "worker_builds": 0,
+                        "build_fallbacks": 0}
         handles: List[Optional[ShardWorker]] = [None] * len(eras)
 
         def era_inputs(position: int):
@@ -288,15 +284,14 @@ class ShardedHistoryIndex:
             build_events["worker_builds"] += 1
             return DeltaGraph.from_state(state, adopted, cache)
 
-        build_one = (build_era_in_worker if worker_mode == "subprocess"
-                     else build_era)
-        workers = (build_workers if build_workers is not None
-                   else min(_DEFAULT_POOL_CAP, len(eras)))
-        if workers == 1 or len(eras) == 1:
-            indexes = [build_one(i) for i in range(len(eras))]
+        if worker_mode == "subprocess":
+            # One thread per era only *waits* on that era's worker process.
+            with ThreadPoolExecutor(max_workers=build_workers
+                                    or _DEFAULT_POOL_CAP) as pool:
+                indexes = list(pool.map(build_era_in_worker,
+                                        range(len(eras))))
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                indexes = list(pool.map(build_one, range(len(eras))))
+            indexes = [build_era(i) for i in range(len(eras))]
 
         shards: List[EraShard] = []
         for i, ((t_lo, era_events), index) in enumerate(zip(eras, indexes)):
@@ -312,14 +307,15 @@ class ShardedHistoryIndex:
                     # has nothing more to do.
                     handles[i].shutdown()
                 else:
+                    # The era keeps its build worker serving: a promotion
+                    # that cost no extra hand-off.
                     shard.worker = handles[i]
+                    build_events["promotions"] += 1
             shards.append(shard)
         federation = cls(shards, policy, store_factory, cache=cache,
                          index_kwargs=index_kwargs, worker_mode=worker_mode)
-        federation._worker_events["worker_builds"] += \
-            build_events["worker_builds"]
-        federation._worker_events["build_fallbacks"] += \
-            build_events["build_fallbacks"]
+        for event, count in build_events.items():
+            federation._lifecycle[event] += count
         return federation
 
     # ==================================================================
@@ -393,47 +389,13 @@ class ShardedHistoryIndex:
         """``"inprocess"`` or ``"subprocess"`` (the routing knob)."""
         return self._worker_mode
 
-    def _cache_conf(self) -> Optional[Tuple[int, str]]:
-        """The shared cache's ``(max_bytes, policy)`` recipe for workers.
-
-        Each worker builds its **own** cache from the recipe — cache
-        entries cannot be shared across the process boundary, but the
-        byte/eviction budget semantics carry over.
-        """
-        if self._cache is None:
-            return None
-        return self._cache.max_bytes, self._cache.policy_name
-
-    def _worker_for(self, shard: EraShard) -> Optional[ShardWorker]:
-        """The shard's worker handle when it can carry requests.
-
-        A worker found dead *between* requests (crashed while idle) is
-        retired and counted here, so crash accounting does not depend on
-        whether the death was noticed mid-round-trip.
-        """
-        worker = shard.worker
-        if worker is None:
-            return None
-        if not worker.serving:
-            self._note_worker_failure(shard)
-            return None
-        return worker
-
-    def _note_worker_failure(self, shard: EraShard) -> None:
-        """Retire a shard's worker after a failed round trip.
-
-        The handle is reaped and detached so every later query on this
-        shard goes straight to the retained in-process index — one failed
-        round trip per dead worker, never one per query.
-        """
-        with self._lock:
-            worker = shard.worker
-            self._worker_events["fallbacks"] += 1
-            if worker is not None:
-                if not worker.alive:
-                    self._worker_events["crashes"] += 1
-                worker.kill()
-                shard.worker = None
+    @property
+    def _worker_events(self) -> Dict[str, int]:
+        """Federation-wide worker lifecycle counters (surfaced by
+        :meth:`stats_report` under ``totals["workers"]``)."""
+        return {**self._lifecycle,
+                "fallbacks": sum(shard.fallbacks for shard in self._shards),
+                "crashes": sum(shard.crashes for shard in self._shards)}
 
     def _promote_shard(self, shard: EraShard) -> bool:
         """Spawn a worker for one sealed shard and ship the shard to it.
@@ -447,43 +409,30 @@ class ShardedHistoryIndex:
         except WorkerError:
             return False
         try:
-            worker.load_shard(shard.index, shard.store, self._cache_conf())
+            worker.load_shard(shard.index, shard.store,
+                              _cache_recipe(self._cache))
         except WorkerError:
             worker.kill()
             return False
         shard.worker = worker
-        self._wire_failure_callback(shard)
-        self._worker_events["promotions"] += 1
+        self._lifecycle["promotions"] += 1
         return True
-
-    def _wire_failure_callback(self, shard: EraShard) -> None:
-        shard.on_worker_failure = (
-            lambda shard=shard: self._note_worker_failure(shard))
 
     def promote_shards(self) -> int:
         """Promote every sealed shard without a serving worker.
 
         Returns the number of shards promoted.  Called automatically when
-        the federation is constructed in subprocess mode and after each
-        rollover; shards whose build already left them a serving worker
-        are only wired up, not re-promoted.
+        the federation is constructed in subprocess mode (each rollover
+        promotes the era it seals); shards whose build already left them a
+        serving worker are not re-promoted.
         """
         if self._worker_mode != "subprocess":
             return 0
         promoted = 0
         with self._lock:
             for shard in self._shards:
-                if not shard.sealed:
-                    continue
-                worker = shard.worker
-                if worker is not None and worker.serving:
-                    if shard.on_worker_failure is None:
-                        # A build-time worker handed over by build():
-                        # count it and wire its failure accounting.
-                        self._wire_failure_callback(shard)
-                        self._worker_events["promotions"] += 1
-                    continue
-                if self._promote_shard(shard):
+                if (shard.sealed and shard.serving_worker() is None
+                        and self._promote_shard(shard)):
                     promoted += 1
         return promoted
 
@@ -497,20 +446,17 @@ class ShardedHistoryIndex:
         """
         report: Dict[int, Optional[bool]] = {}
         for shard in self.shards:
-            worker = shard.worker
-            if worker is None:
+            if shard.worker is None:
                 report[shard.shard_id] = None
                 continue
-            if not worker.serving:
-                self._note_worker_failure(shard)
-                report[shard.shard_id] = False
-                continue
-            try:
-                worker.ping(timeout=timeout)
-                report[shard.shard_id] = True
-            except WorkerError:
-                self._note_worker_failure(shard)
-                report[shard.shard_id] = False
+            worker = shard.serving_worker()
+            if worker is not None:
+                try:
+                    worker.ping(timeout=timeout)
+                except WorkerError:
+                    shard.retire_worker(worker)
+                    worker = None
+            report[shard.shard_id] = worker is not None
         return report
 
     def close(self) -> None:
@@ -541,73 +487,49 @@ class ShardedHistoryIndex:
                      components: Optional[Sequence[str]] = None,
                      partitions: Optional[Sequence[int]] = None
                      ) -> GraphSnapshot:
-        """Singlepoint retrieval, routed to the era shard owning ``time``.
-
-        In subprocess mode the owning shard's worker answers over one
-        protocol round trip; a transport failure retires the worker and
-        the retained in-process index answers instead (typed application
-        errors — an out-of-range time, say — relay and re-raise as-is).
-        """
-        shard = self.shard_for(time)
-        worker = self._worker_for(shard)
-        if worker is not None:
-            try:
-                return worker.get_snapshot(time, components, partitions)
-            except WorkerError:
-                self._note_worker_failure(shard)
-        return shard.index.get_snapshot(time, components, partitions)
+        """Singlepoint retrieval, routed to the era shard owning ``time``
+        (one worker round trip when the era is promoted — see
+        :meth:`EraShard._read <repro.sharding.shard.EraShard._read>`)."""
+        return self.shard_for(time).get_snapshot(time, components, partitions)
 
     def get_snapshots(self, times: Sequence[int],
                       components: Optional[Sequence[str]] = None,
-                      partitions: Optional[Sequence[int]] = None,
-                      workers: Optional[int] = None) -> List[GraphSnapshot]:
+                      partitions: Optional[Sequence[int]] = None
+                      ) -> List[GraphSnapshot]:
         """Multipoint retrieval: the point-set splits per owning shard.
 
         Each spanned shard answers its sub-set with its own multipoint
         Steiner plan (sharing deltas *within* the shard exactly as an
-        unsharded index would); the per-shard sub-queries run concurrently
-        on a thread pool.  ``workers`` bounds that cross-shard fan-out
-        (default: one thread per spanned shard, capped); within each shard
-        the index's own ``multipoint_workers`` configuration still applies.
-        Cross-shard overhead is therefore bounded by the number of shards
-        spanned: no delta is fetched twice, and no shard outside the
-        point-set's eras is touched at all.
+        unsharded index would).  Cross-shard overhead is therefore bounded
+        by the number of shards spanned: no delta is fetched twice, and no
+        shard outside the point-set's eras is touched at all.  When a
+        spanned shard is served by a worker process the sub-queries run
+        concurrently, one thread per shard, so the processes overlap;
+        in-process shards share one interpreter lock and threads buy them
+        nothing, so they are answered one after another.
         """
-        if not times:
-            return []
         by_shard: Dict[int, List[int]] = {}
         for position, time in enumerate(times):
             by_shard.setdefault(self._shard_index_for(time), []).append(
                 position)
-        results: List[Optional[GraphSnapshot]] = [None] * len(times)
 
-        def run(entry: Tuple[int, List[int]]) -> None:
+        def run(entry: Tuple[int, List[int]]) -> List[GraphSnapshot]:
             shard_position, positions = entry
-            shard_times = [times[p] for p in positions]
-            shard = self._shards[shard_position]
-            worker = self._worker_for(shard)
-            snapshots: Optional[List[GraphSnapshot]] = None
-            if worker is not None:
-                try:
-                    snapshots = worker.get_snapshots(shard_times, components,
-                                                     partitions)
-                except WorkerError:
-                    self._note_worker_failure(shard)
-            if snapshots is None:
-                snapshots = shard.index.get_snapshots(shard_times,
-                                                      components, partitions)
-            for position, snapshot in zip(positions, snapshots):
-                results[position] = snapshot
+            return self._shards[shard_position].get_snapshots(
+                [times[p] for p in positions], components, partitions)
 
         groups = list(by_shard.items())
-        fan_out = (min(len(groups), _DEFAULT_POOL_CAP) if workers is None
-                   else max(1, min(workers, len(groups))))
-        if len(groups) == 1 or fan_out == 1:
-            for entry in groups:
-                run(entry)
+        if len(groups) > 1 and any(self._shards[position].worker is not None
+                                   for position in by_shard):
+            with ThreadPoolExecutor(
+                    max_workers=min(len(groups), _DEFAULT_POOL_CAP)) as pool:
+                answers = list(pool.map(run, groups))
         else:
-            with ThreadPoolExecutor(max_workers=fan_out) as pool:
-                list(pool.map(run, groups))
+            answers = [run(entry) for entry in groups]
+        results: List[Optional[GraphSnapshot]] = [None] * len(times)
+        for (_shard_position, positions), snapshots in zip(groups, answers):
+            for position, snapshot in zip(positions, snapshots):
+                results[position] = snapshot
         return results  # type: ignore[return-value]
 
     def get_interval_graph(self, start: int, end: int,
@@ -622,22 +544,9 @@ class ShardedHistoryIndex:
         """
         combined = GraphSnapshot.empty()
         for shard in self._shards:
-            if not shard.overlaps(start, end):
-                continue
-            worker = self._worker_for(shard)
-            if worker is not None:
-                try:
-                    # The accumulator rides the wire both ways (packed
-                    # codec), so tombstone chaining across eras behaves
-                    # exactly as the in-process merge.
-                    combined = worker.get_interval_graph(
-                        start, end, components, include_transient,
-                        into=combined)
-                    continue
-                except WorkerError:
-                    self._note_worker_failure(shard)
-            combined = shard.index.get_interval_graph(
-                start, end, components, include_transient, into=combined)
+            if shard.overlaps(start, end):
+                combined = shard.get_interval_graph(
+                    start, end, components, include_transient, into=combined)
         return combined
 
     def get_aux_snapshot(self, index_name: str, time: int) -> dict:
@@ -843,8 +752,7 @@ class ShardedHistoryIndex:
     @property
     def ingest_stats(self) -> IngestStats:
         """Federation-wide ingestion counters (sum over all shards)."""
-        return _aggregate_ingest(shard.index.ingest_stats
-                                 for shard in self._shards)
+        return _sum_stats(shard.index.ingest_stats for shard in self._shards)
 
     def io_stats(self) -> Optional[IOStats]:
         """Summed I/O counters of instrumented shard stores.
@@ -855,19 +763,11 @@ class ShardedHistoryIndex:
         baseline delta — the adopted parent store already carries the
         build's I/O, so nothing is counted twice).
         """
-        parts = [shard.store.stats for shard in self._shards
-                 if isinstance(getattr(shard.store, "stats", None), IOStats)]
-        for shard in self._shards:
-            worker = self._worker_for(shard)
-            if worker is None:
-                continue
-            try:
-                delta = worker.io_delta()
-            except WorkerError:
-                continue  # the next query on this shard retires it
-            if delta is not None:
-                parts.append(delta)
-        return _aggregate_io(parts) if parts else None
+        parts = [io for io in
+                 [shard.store_io() for shard in self._shards]
+                 + [shard.worker_io() for shard in self._shards]
+                 if io is not None]
+        return _sum_stats(parts) if parts else None
 
     def index_size_bytes(self) -> int:
         """Total stored payload bytes across shards (where reported)."""
@@ -875,39 +775,7 @@ class ShardedHistoryIndex:
 
     def stats_report(self) -> Dict:
         """One aggregated report: per-shard rows plus federation totals."""
-        per_shard = []
-        for shard in self._shards:
-            io = (shard.store.stats.snapshot()
-                  if isinstance(getattr(shard.store, "stats", None), IOStats)
-                  else None)
-            row = {
-                "shard": shard.shard_id,
-                "span": [shard.t_lo, shard.t_hi],
-                "sealed": shard.sealed,
-                "events": shard.event_count,
-                "namespace": shard.namespace,
-                "ingest": asdict(shard.index.ingest_stats.snapshot()),
-                "io": asdict(io) if io is not None else None,
-                "pins": shard.index.pinned_generations(),
-                "retired_pending": shard.index.retired_payload_count(),
-            }
-            worker = shard.worker
-            if worker is not None:
-                winfo = {"pid": worker.pid, "alive": worker.alive,
-                         "serving": worker.serving,
-                         "round_trips": worker.round_trips}
-                if worker.serving:
-                    try:
-                        wreport = worker.stats_report()
-                        winfo["served_ops"] = wreport.get("served_ops")
-                        delta = worker.io_delta(wreport)
-                        winfo["io"] = (asdict(delta) if delta is not None
-                                       else None)
-                        winfo["cache"] = wreport.get("cache")
-                    except WorkerError:
-                        winfo["serving"] = False
-                row["worker"] = winfo
-            per_shard.append(row)
+        per_shard = [shard.stats_row() for shard in self._shards]
         totals = {
             "shards": len(self._shards),
             "events": sum(shard.event_count for shard in self._shards),
@@ -916,16 +784,16 @@ class ShardedHistoryIndex:
         io_total = self.io_stats()
         if io_total is not None:
             totals["io"] = asdict(io_total)
-        if (self._worker_mode == "subprocess"
-                or any(value for value in self._worker_events.values())):
+        worker_events = self._worker_events
+        if self._worker_mode == "subprocess" or any(worker_events.values()):
             totals["workers"] = {
                 "mode": self._worker_mode,
                 "active": sum(1 for shard in self._shards
-                              if self._worker_for(shard) is not None),
+                              if shard.serving_worker() is not None),
                 "round_trips": sum(shard.worker.round_trips
                                    for shard in self._shards
                                    if shard.worker is not None),
-                **self._worker_events,
+                **worker_events,
             }
         cache = self.cache_stats()
         report = {"policy": self.policy.describe(), "per_shard": per_shard,

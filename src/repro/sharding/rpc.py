@@ -1,32 +1,28 @@
-"""Wire protocol of the era-shard worker processes.
+"""Wire protocol of the era-shard worker processes (magic ``0xC7``).
 
 One shard worker speaks one socket to its router, carrying length-prefixed
-frames in strict request/response lockstep.  The layer deliberately reuses
-the transport-neutral pieces the query service already ships
-(:mod:`repro.service.protocol`): the u32 length framing
-(:func:`~repro.service.protocol.encode_frame` /
-:func:`~repro.service.protocol.frame_length`), the varint/string
-primitives of the packed codec, the packed columnar codec itself for every
-snapshot and event payload (:data:`~repro.service.protocol.WIRE_CODEC`),
-and the ``(code, message)`` error registry — a worker relaying a
-``TimeOutOfRangeError`` produces exactly the bytes the service would, and
-the router re-raises it typed.
+frames in strict request/response lockstep.  Framing, the field codecs, the
+packed snapshot/event payloads and the ``(code, message)`` error registry
+are the shared wire layer's (:mod:`repro.wire`) — a worker relaying a
+``TimeOutOfRangeError`` produces exactly the bytes the query service would,
+and the router re-raises it typed.  What is specific to this link lives
+here: the opcodes and :data:`CALLS`, the table giving each opcode's request
+and response payload layout; the lockstep request-id check; pickled
+*internal* state; and socket I/O that surfaces failures typed::
 
-Frame layout::
+    request  := header request_id(uvarint) opcode(1) field*
+    response := header request_id(uvarint) status=0 field*
+              | header request_id(uvarint) status=1 code(str) message(str)
 
-    request  := MAGIC(1) VERSION(1) kind(1) request_id(uvarint) opcode(1) payload
-    response := MAGIC(1) VERSION(1) kind(1) request_id(uvarint) status(1) payload
-    error    := ... status=1 code(str) message(str)
-
-Structured *internal* state (a detached index, a store spec, construction
+Structured internal state (a detached index, a store spec, construction
 kwargs) travels pickled — both endpoints are the same codebase on the same
 host, spawned by the router itself; this link is not an external trust
 boundary the way the query service's is.
 
-Transport failures surface as the three typed errors the router's
-fallback logic dispatches on: :class:`WorkerCrashed` (EOF / reset — the
-process died), :class:`WorkerTimeout` (no answer within the deadline — the
-worker is wedged and its connection can no longer be trusted), and
+Transport failures surface as the three typed errors the shard's fallback
+dispatches on: :class:`WorkerCrashed` (EOF / reset — the process died),
+:class:`WorkerTimeout` (no answer within the deadline — the worker is
+wedged and its connection can no longer be trusted), and
 :class:`WorkerProtocolError` (desynced or corrupt frames).
 """
 
@@ -34,31 +30,37 @@ from __future__ import annotations
 
 import pickle
 import socket
-import struct
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Sequence, Tuple
 
-from ..core.events import Event
-from ..core.snapshot import GraphSnapshot
+from .. import wire
 from ..errors import ReproError
-from ..service.protocol import (
-    WIRE_CODEC,
-    decode_snapshot,
-    encode_frame,
-    error_code_for as _service_error_code_for,
-    exception_for as _service_exception_for,
-    frame_length,
-)
-from ..service.protocol import encode_snapshot  # noqa: F401  (re-export)
-from ..storage.packed import (
-    _read_str,
-    _read_uvarint,
-    _read_varint,
-    _write_str,
-    _write_uvarint,
-    _write_varint,
+from ..wire import (
+    BOOL,
+    EVENTS,
+    F64,
+    KIND_REQUEST,
+    KIND_RESPONSE,
+    SNAPSHOT,
+    STATUS_OK,
+    STR,
+    TIMES,
+    UVARINT,
+    VARINT,
+    FieldCodec,
+    Fields,
+    error_code_for,
+    exception_for,
+    list_of,
+    optional,
+    read_blob,
+    read_uvarint,
+    write_blob,
 )
 
 __all__ = [
+    "CALLS",
+    "Call",
+    "ENVELOPE",
     "OP_BUILD_ERA",
     "OP_CRASH",
     "OP_FETCH_EVENTLIST",
@@ -76,35 +78,25 @@ __all__ = [
     "WorkerError",
     "WorkerProtocolError",
     "WorkerTimeout",
+    "decode_args",
     "decode_request",
     "decode_response",
+    "decode_result",
+    "encode_args",
     "encode_error",
     "encode_request",
     "encode_response",
+    "encode_result",
     "error_code_for",
     "exception_for",
-    "read_events",
     "read_obj",
-    "read_opt_snapshot",
-    "read_opt_strs",
-    "read_times",
     "recv_frame",
     "send_frame",
-    "write_events",
     "write_obj",
-    "write_opt_snapshot",
-    "write_opt_strs",
-    "write_times",
 ]
 
 WORKER_MAGIC = 0xC7
 WORKER_PROTOCOL_VERSION = 1
-
-_KIND_REQUEST = 1
-_KIND_RESPONSE = 2
-
-_STATUS_OK = 0
-_STATUS_ERROR = 1
 
 OP_LOAD_SHARD = 1
 OP_PING = 2
@@ -120,8 +112,6 @@ OP_SHUTDOWN = 10
 #: replying — the router's crash detection sees a hard EOF.  Test-only.
 OP_CRASH = 11
 
-_DELAY = struct.Struct(">d")
-
 
 # ---------------------------------------------------------------------------
 # typed transport errors
@@ -130,7 +120,7 @@ _DELAY = struct.Struct(">d")
 class WorkerError(ReproError):
     """Base class of shard-worker transport failures.
 
-    The router's automatic in-process fallback dispatches on exactly this
+    The shard's automatic in-process fallback dispatches on exactly this
     type: *transport* failures degrade to the retained in-process index,
     while typed application errors relayed from a healthy worker
     (``TimeOutOfRangeError``, ``QueryError``, ...) re-raise to the caller
@@ -158,28 +148,11 @@ class WorkerProtocolError(WorkerError):
     code = "worker-protocol"
 
 
-_WORKER_CODES = {cls.code: cls
-                 for cls in (WorkerCrashed, WorkerTimeout,
-                             WorkerProtocolError, WorkerError)}
+wire.register_errors(WorkerCrashed, WorkerTimeout, WorkerProtocolError,
+                     WorkerError)
 
-
-def error_code_for(exc: BaseException) -> str:
-    """Wire error code for ``exc`` (worker codes, then the service registry)."""
-    for exc_type, code in ((WorkerCrashed, WorkerCrashed.code),
-                           (WorkerTimeout, WorkerTimeout.code),
-                           (WorkerProtocolError, WorkerProtocolError.code),
-                           (WorkerError, WorkerError.code)):
-        if isinstance(exc, exc_type):
-            return code
-    return _service_error_code_for(exc)
-
-
-def exception_for(code: str, message: str) -> Exception:
-    """Typed exception for a relayed ``(code, message)`` pair."""
-    worker_type = _WORKER_CODES.get(code)
-    if worker_type is not None:
-        return worker_type(message)
-    return _service_exception_for(code, message)
+ENVELOPE = wire.Envelope(WORKER_MAGIC, WORKER_PROTOCOL_VERSION,
+                         WorkerProtocolError)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +162,7 @@ def exception_for(code: str, message: str) -> Exception:
 def send_frame(sock: socket.socket, body: bytes) -> None:
     """Write one length-prefixed frame; broken pipes raise typed."""
     try:
-        sock.sendall(encode_frame(body))
+        sock.sendall(ENVELOPE.encode_frame(body))
     except socket.timeout as exc:
         raise WorkerTimeout(f"timed out sending a worker frame: {exc}") \
             from None
@@ -219,38 +192,15 @@ def _recv_exactly(sock: socket.socket, length: int) -> bytes:
 
 def recv_frame(sock: socket.socket) -> bytes:
     """Read one length-prefixed frame body; EOF/timeout raise typed."""
-    try:
-        length = frame_length(_recv_exactly(sock, 4))
-    except WorkerError:
-        raise
-    except Exception as exc:  # oversized / corrupt length prefix
-        raise WorkerProtocolError(str(exc)) from None
-    return _recv_exactly(sock, length)
+    return _recv_exactly(sock, ENVELOPE.frame_length(_recv_exactly(sock, 4)))
 
 
 # ---------------------------------------------------------------------------
 # request / response envelopes
 # ---------------------------------------------------------------------------
 
-def _header(kind: int) -> bytearray:
-    return bytearray((WORKER_MAGIC, WORKER_PROTOCOL_VERSION, kind))
-
-
-def _check_header(body: bytes, expected_kind: int) -> None:
-    if len(body) < 3 or body[0] != WORKER_MAGIC:
-        raise WorkerProtocolError("bad worker frame magic")
-    if body[1] > WORKER_PROTOCOL_VERSION:
-        raise WorkerProtocolError(
-            f"worker frame version {body[1]} is newer than this endpoint "
-            f"(supports <= {WORKER_PROTOCOL_VERSION})")
-    if body[2] != expected_kind:
-        raise WorkerProtocolError(f"unexpected worker frame kind {body[2]} "
-                                  f"(wanted {expected_kind})")
-
-
 def encode_request(request_id: int, opcode: int, payload: bytes = b"") -> bytes:
-    out = _header(_KIND_REQUEST)
-    _write_uvarint(out, request_id)
+    out = ENVELOPE.header(KIND_REQUEST, request_id)
     out.append(opcode)
     out.extend(payload)
     return bytes(out)
@@ -258,30 +208,20 @@ def encode_request(request_id: int, opcode: int, payload: bytes = b"") -> bytes:
 
 def decode_request(body: bytes) -> Tuple[int, int, bytes]:
     """``(request_id, opcode, payload)`` of one request frame."""
-    _check_header(body, _KIND_REQUEST)
-    try:
-        request_id, pos = _read_uvarint(body, 3)
-        opcode = body[pos]
-        return request_id, opcode, bytes(body[pos + 1:])
-    except IndexError:
-        raise WorkerProtocolError("truncated worker request frame") from None
+    ENVELOPE.check_header(body, KIND_REQUEST)
+    with ENVELOPE.decoding("worker request frame"):
+        request_id, pos = read_uvarint(body, 3)
+        return request_id, body[pos], bytes(body[pos + 1:])
 
 
 def encode_response(request_id: int, payload: bytes = b"") -> bytes:
-    out = _header(_KIND_RESPONSE)
-    _write_uvarint(out, request_id)
-    out.append(_STATUS_OK)
+    out = ENVELOPE.header(KIND_RESPONSE, request_id)
+    out.append(STATUS_OK)
     out.extend(payload)
     return bytes(out)
 
 
-def encode_error(request_id: int, code: str, message: str) -> bytes:
-    out = _header(_KIND_RESPONSE)
-    _write_uvarint(out, request_id)
-    out.append(_STATUS_ERROR)
-    _write_str(out, code)
-    _write_str(out, message)
-    return bytes(out)
+encode_error = ENVELOPE.encode_error
 
 
 def decode_response(body: bytes, expected_request_id: int) -> bytes:
@@ -291,178 +231,120 @@ def decode_response(body: bytes, expected_request_id: int) -> bytes:
     desynced (e.g. a previous call timed out and its answer arrived late),
     which is unrecoverable on a lockstep link — typed protocol error.
     """
-    _check_header(body, _KIND_RESPONSE)
-    try:
-        request_id, pos = _read_uvarint(body, 3)
-        status = body[pos]
-        pos += 1
+    ENVELOPE.check_header(body, KIND_RESPONSE)
+    with ENVELOPE.decoding("worker response frame"):
+        request_id, pos = read_uvarint(body, 3)
         if request_id != expected_request_id:
             raise WorkerProtocolError(
                 f"worker answered request {request_id}, expected "
                 f"{expected_request_id} (desynced connection)")
-        if status == _STATUS_ERROR:
-            code, pos = _read_str(body, pos)
-            message, pos = _read_str(body, pos)
-            raise exception_for(code, message)
-        if status != _STATUS_OK:
-            raise WorkerProtocolError(f"unknown worker status {status}")
-        return bytes(body[pos:])
-    except (IndexError, UnicodeDecodeError):
-        raise WorkerProtocolError("truncated worker response frame") from None
+        return bytes(body[ENVELOPE.read_status(body, pos):])
 
 
 # ---------------------------------------------------------------------------
-# payload primitives
+# payload layouts: one table, both directions
 # ---------------------------------------------------------------------------
 
 def write_obj(out: bytearray, value: object) -> None:
     """Pickle an internal structure into the payload."""
-    blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-    _write_uvarint(out, len(blob))
-    out.extend(blob)
+    write_blob(out, pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 def read_obj(data: bytes, pos: int) -> Tuple[object, int]:
-    length, pos = _read_uvarint(data, pos)
-    return pickle.loads(data[pos:pos + length]), pos + length
+    blob, pos = read_blob(data, pos)
+    return pickle.loads(blob), pos
 
 
-def _write_blob(out: bytearray, blob: bytes) -> None:
-    _write_uvarint(out, len(blob))
-    out.extend(blob)
+OBJ = FieldCodec("pickle", write_obj, read_obj)
+OPT_STRS = optional(list_of(STR))
+OPT_INTS = optional(list_of(VARINT))
+OPT_SNAPSHOT = optional(SNAPSHOT)
+#: A reply that must carry a snapshot: same bytes, absent is a fault.
+REPLY_SNAPSHOT = optional(SNAPSHOT, required=True)
 
 
-def _read_blob(data: bytes, pos: int) -> Tuple[bytes, int]:
-    length, pos = _read_uvarint(data, pos)
-    return bytes(data[pos:pos + length]), pos + length
+class Call(NamedTuple):
+    """One opcode's payload layouts, request then response."""
+
+    request: Fields
+    response: Fields
 
 
-def write_opt_strs(out: bytearray, values: Optional[Sequence[str]]) -> None:
-    """An optional string list (``None`` is distinct from empty)."""
-    if values is None:
-        out.append(0)
-        return
-    out.append(1)
-    _write_uvarint(out, len(values))
-    for value in values:
-        _write_str(out, value)
+#: opcode -> its two payload layouts.  :class:`~repro.sharding.workers.
+#: ShardWorker` encodes arguments and the worker's serve loop decodes them
+#: from ``request``; results travel back through ``response``.
+CALLS: Dict[int, Call] = {
+    OP_LOAD_SHARD: Call(
+        # (detached index state, store spec, store payload, cache recipe)
+        (("shard", OBJ),), ()),
+    OP_PING: Call(
+        (("delay", F64),), (("pid", UVARINT),)),
+    OP_GET_SNAPSHOT: Call(
+        (("time", VARINT), ("components", OPT_STRS),
+         ("partitions", OPT_INTS)),
+        (("snapshot", REPLY_SNAPSHOT),)),
+    OP_GET_SNAPSHOTS: Call(
+        (("times", TIMES), ("components", OPT_STRS),
+         ("partitions", OPT_INTS)),
+        (("snapshots", list_of(REPLY_SNAPSHOT)),)),
+    OP_GET_INTERVAL: Call(
+        (("start", VARINT), ("end", VARINT), ("components", OPT_STRS),
+         ("include_transient", BOOL), ("into", OPT_SNAPSHOT)),
+        (("combined", REPLY_SNAPSHOT),)),
+    OP_REPLAY_STATE: Call(
+        (("components", OPT_STRS),),
+        (("spans", OBJ), ("recent", EVENTS))),
+    OP_FETCH_EVENTLIST: Call(
+        (("eventlist_id", STR), ("components", OPT_STRS)),
+        (("events", EVENTS),)),
+    OP_BUILD_ERA: Call(
+        # (store spec, store payload, index kwargs, cache recipe, start time)
+        (("era", OBJ), ("initial_graph", OPT_SNAPSHOT), ("events", EVENTS)),
+        # (detached index state, store spec, store payload)
+        (("built", OBJ),)),
+    OP_STATS: Call((), (("report", OBJ),)),
+    OP_SHUTDOWN: Call((), ()),
+    OP_CRASH: Call((), ()),
+}
 
 
-def read_opt_strs(data: bytes, pos: int
-                  ) -> Tuple[Optional[List[str]], int]:
-    present = data[pos]
-    pos += 1
-    if not present:
-        return None, pos
-    count, pos = _read_uvarint(data, pos)
-    values = []
-    for _ in range(count):
-        value, pos = _read_str(data, pos)
-        values.append(value)
-    return values, pos
+def _layouts(opcode: int) -> Call:
+    call = CALLS.get(opcode)
+    if call is None:
+        raise WorkerProtocolError(f"unknown worker opcode {opcode}")
+    return call
 
 
-def write_opt_ints(out: bytearray, values: Optional[Sequence[int]]) -> None:
-    if values is None:
-        out.append(0)
-        return
-    out.append(1)
-    _write_uvarint(out, len(values))
-    for value in values:
-        _write_varint(out, value)
+def _pack(fields: Fields, values: Sequence) -> bytes:
+    out = bytearray()
+    wire.write_fields(out, fields, values)
+    return bytes(out)
 
 
-def read_opt_ints(data: bytes, pos: int
-                  ) -> Tuple[Optional[List[int]], int]:
-    present = data[pos]
-    pos += 1
-    if not present:
-        return None, pos
-    count, pos = _read_uvarint(data, pos)
-    values = []
-    for _ in range(count):
-        value, pos = _read_varint(data, pos)
-        values.append(value)
-    return values, pos
+def _unpack(fields: Fields, payload: bytes, what: str) -> List:
+    with ENVELOPE.decoding(what):
+        values, _pos = wire.read_fields(payload, 0, fields)
+    return values
 
 
-def write_times(out: bytearray, times: Sequence[int]) -> None:
-    """A delta-coded timepoint list (the service protocol's layout)."""
-    _write_uvarint(out, len(times))
-    previous = 0
-    for time in times:
-        _write_varint(out, time - previous)
-        previous = time
+def encode_args(opcode: int, args: Sequence) -> bytes:
+    """A request payload: ``args`` laid out as the opcode's request fields."""
+    return _pack(_layouts(opcode).request, args)
 
 
-def read_times(data: bytes, pos: int) -> Tuple[List[int], int]:
-    count, pos = _read_uvarint(data, pos)
-    times: List[int] = []
-    previous = 0
-    for _ in range(count):
-        delta, pos = _read_varint(data, pos)
-        previous += delta
-        times.append(previous)
-    return times, pos
+def decode_args(opcode: int, payload: bytes) -> List:
+    return _unpack(_layouts(opcode).request, payload, "worker request payload")
 
 
-def write_events(out: bytearray, events: Sequence[Event]) -> None:
-    """An event batch through the packed codec's event columns."""
-    _write_blob(out, WIRE_CODEC.encode(list(events)))
+def encode_result(opcode: int, result: Any) -> bytes:
+    """A response payload.  ``result`` is the opcode's one response value,
+    a tuple of them when it declares several, ``None`` when none."""
+    fields = _layouts(opcode).response
+    return _pack(fields, (result,) if len(fields) == 1 else result or ())
 
 
-def read_events(data: bytes, pos: int) -> Tuple[List[Event], int]:
-    blob, pos = _read_blob(data, pos)
-    events = WIRE_CODEC.decode(blob)
-    if not isinstance(events, list):
-        raise WorkerProtocolError(
-            "event payload did not decode to an event list")
-    return events, pos
-
-
-def write_opt_snapshot(out: bytearray,
-                       snapshot: Optional[GraphSnapshot]) -> None:
-    """An optional snapshot: packed-codec payload plus its optional time.
-
-    A snapshot is an additions-only delta from the empty graph, so the
-    storage codec's byte layout is the wire format — exactly the service
-    protocol's :func:`~repro.service.protocol.encode_snapshot` rule, with
-    the timestamp carried alongside (workers need it preserved for
-    boundary snapshots and interval accumulators).
-    """
-    if snapshot is None:
-        out.append(0)
-        return
-    out.append(1)
-    if snapshot.time is None:
-        out.append(0)
-    else:
-        out.append(1)
-        _write_varint(out, snapshot.time)
-    _write_blob(out, encode_snapshot(snapshot))
-
-
-def read_opt_snapshot(data: bytes, pos: int
-                      ) -> Tuple[Optional[GraphSnapshot], int]:
-    present = data[pos]
-    pos += 1
-    if not present:
-        return None, pos
-    has_time = data[pos]
-    pos += 1
-    time: Optional[int] = None
-    if has_time:
-        time, pos = _read_varint(data, pos)
-    blob, pos = _read_blob(data, pos)
-    snapshot = decode_snapshot(blob, time)
-    snapshot.time = time
-    return snapshot, pos
-
-
-def write_delay(out: bytearray, delay: float) -> None:
-    out.extend(_DELAY.pack(delay))
-
-
-def read_delay(data: bytes, pos: int) -> Tuple[float, int]:
-    (delay,) = _DELAY.unpack_from(data, pos)
-    return delay, pos + _DELAY.size
+def decode_result(opcode: int, payload: bytes) -> Any:
+    """Inverse of :func:`encode_result`."""
+    values = _unpack(_layouts(opcode).response, payload,
+                     "worker response payload")
+    return values[0] if len(values) == 1 else tuple(values) or None

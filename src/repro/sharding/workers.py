@@ -7,10 +7,10 @@ state plus a recipe for opening the same store
 ``DiskKVStore`` file handle and its own :class:`DeltaCache`, and from then
 on answers that era's sub-queries over a socket — one OS process per era,
 so cross-shard multipoint fan-out and parallel era builds stop being
-GIL-bound.  The wire format is :mod:`repro.sharding.rpc` (the service
-layer's framing + packed codec).
+GIL-bound.  The wire format is :mod:`repro.sharding.rpc` (an op table over
+the shared :mod:`repro.wire` layer).
 
-Three pieces live here:
+Two pieces live here:
 
 * :func:`worker_main` / ``_worker_entry`` — the child process: a lockstep
   serve loop dispatching one opcode at a time over one connection;
@@ -18,12 +18,9 @@ Three pieces live here:
   method; a forked child would inherit the router's locks mid-flight),
   health-check ping, graceful idempotent shutdown, and crash detection
   that turns EOF/timeouts into the typed
-  :class:`~repro.sharding.rpc.WorkerError` family the federation's
-  automatic in-process fallback dispatches on;
-* :class:`FailoverReplaySource` — a ``replay_state``/``fetch_eventlist``
-  facade the evolution scanner chains through, preferring the worker and
-  silently degrading to the retained in-process index on transport
-  failure.
+  :class:`~repro.sharding.rpc.WorkerError` family that
+  :class:`~repro.sharding.shard.EraShard`'s automatic in-process fallback
+  dispatches on.
 
 Fault injection (test-only): the ``REPRO_WORKER_FAULT`` environment
 variable (inherited by spawned children) names ``stage:shard_id`` pairs —
@@ -42,7 +39,7 @@ import threading
 import time as time_module
 import weakref
 from dataclasses import asdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..cache.delta_cache import DeltaCache
 from ..core.deltagraph import DeltaGraph
@@ -59,7 +56,6 @@ from .rpc import (
 )
 
 __all__ = [
-    "FailoverReplaySource",
     "ShardWorker",
     "WorkerCrashed",
     "WorkerError",
@@ -125,20 +121,17 @@ class _WorkerRuntime:
         self.cache = cache
 
 
-def _handle_load_shard(runtime: _WorkerRuntime, payload: bytes) -> bytes:
-    (state, spec, store_payload, cache_conf), _pos = rpc.read_obj(payload, 0)
+def _load_shard(runtime: _WorkerRuntime, shard: tuple) -> None:
+    state, spec, store_payload, cache_conf = shard
     store = open_store(spec, store_payload)
     cache = _make_cache(cache_conf)
     runtime.adopt(DeltaGraph.from_state(state, store, cache), store, cache)
-    return b""
 
 
-def _handle_build_era(runtime: _WorkerRuntime, payload: bytes) -> bytes:
-    pos = 0
-    (spec, store_payload, index_kwargs, cache_conf,
-     start_time), pos = rpc.read_obj(payload, pos)
-    initial_graph, pos = rpc.read_opt_snapshot(payload, pos)
-    events, pos = rpc.read_events(payload, pos)
+def _build_era(runtime: _WorkerRuntime, era: tuple,
+               initial_graph: Optional[GraphSnapshot],
+               events: List[Event]) -> tuple:
+    spec, store_payload, index_kwargs, cache_conf, start_time = era
     store = open_store(spec, store_payload)
     cache = _make_cache(cache_conf)
     index = DeltaGraph.build(events, store=store, initial_graph=initial_graph,
@@ -154,79 +147,15 @@ def _handle_build_era(runtime: _WorkerRuntime, payload: bytes) -> bytes:
             flush()
         os._exit(3)
     runtime.adopt(index, store, cache)
-    back_spec, back_payload = export_store(store)
-    out = bytearray()
-    rpc.write_obj(out, (index.detach_state(), back_spec, back_payload))
-    return bytes(out)
+    return (index.detach_state(), *export_store(store))
 
 
-def _handle_get_snapshot(runtime: _WorkerRuntime, payload: bytes) -> bytes:
-    pos = 0
-    time, pos = rpc._read_varint(payload, pos)
-    components, pos = rpc.read_opt_strs(payload, pos)
-    partitions, pos = rpc.read_opt_ints(payload, pos)
-    snapshot = runtime.require_index().get_snapshot(time, components,
-                                                    partitions)
-    out = bytearray()
-    rpc.write_opt_snapshot(out, snapshot)
-    return bytes(out)
-
-
-def _handle_get_snapshots(runtime: _WorkerRuntime, payload: bytes) -> bytes:
-    pos = 0
-    times, pos = rpc.read_times(payload, pos)
-    components, pos = rpc.read_opt_strs(payload, pos)
-    partitions, pos = rpc.read_opt_ints(payload, pos)
-    snapshots = runtime.require_index().get_snapshots(times, components,
-                                                      partitions)
-    out = bytearray()
-    rpc._write_uvarint(out, len(snapshots))
-    for snapshot in snapshots:
-        rpc.write_opt_snapshot(out, snapshot)
-    return bytes(out)
-
-
-def _handle_get_interval(runtime: _WorkerRuntime, payload: bytes) -> bytes:
-    pos = 0
-    start, pos = rpc._read_varint(payload, pos)
-    end, pos = rpc._read_varint(payload, pos)
-    components, pos = rpc.read_opt_strs(payload, pos)
-    include_transient = bool(payload[pos])
-    pos += 1
-    base, pos = rpc.read_opt_snapshot(payload, pos)
-    combined = runtime.require_index().get_interval_graph(
-        start, end, components, include_transient,
-        into=base if base is not None else GraphSnapshot.empty())
-    out = bytearray()
-    rpc.write_opt_snapshot(out, combined)
-    return bytes(out)
-
-
-def _handle_replay_state(runtime: _WorkerRuntime, payload: bytes) -> bytes:
-    components, _pos = rpc.read_opt_strs(payload, 0)
-    spans, recent = runtime.require_index().replay_state(components)
-    out = bytearray()
-    rpc.write_obj(out, spans)
-    rpc.write_events(out, recent)
-    return bytes(out)
-
-
-def _handle_fetch_eventlist(runtime: _WorkerRuntime, payload: bytes) -> bytes:
-    pos = 0
-    eventlist_id, pos = rpc._read_str(payload, pos)
-    components, pos = rpc.read_opt_strs(payload, pos)
-    events = runtime.require_index().fetch_eventlist(eventlist_id, components)
-    out = bytearray()
-    rpc.write_events(out, events)
-    return bytes(out)
-
-
-def _handle_stats(runtime: _WorkerRuntime, payload: bytes) -> bytes:
+def _stats(runtime: _WorkerRuntime) -> Dict:
     index = runtime.require_index()
     io = index.io_stats()
     cache_stats = (runtime.cache.stats() if runtime.cache is not None
                    else None)
-    report = {
+    return {
         "pid": os.getpid(),
         "served_ops": runtime.served_ops,
         "ingest": asdict(index.ingest_stats.snapshot()),
@@ -234,30 +163,34 @@ def _handle_stats(runtime: _WorkerRuntime, payload: bytes) -> bytes:
         "cache": asdict(cache_stats) if cache_stats is not None else None,
         "index_size_bytes": index.index_size_bytes(),
     }
-    out = bytearray()
-    rpc.write_obj(out, report)
-    return bytes(out)
 
 
-def _handle_ping(runtime: _WorkerRuntime, payload: bytes) -> bytes:
-    delay, _pos = rpc.read_delay(payload, 0)
+def _ping(runtime: _WorkerRuntime, delay: float) -> int:
     if delay > 0:
         time_module.sleep(delay)
-    out = bytearray()
-    rpc._write_uvarint(out, os.getpid())
-    return bytes(out)
+    return os.getpid()
 
 
-_HANDLERS: Dict[int, Callable[[_WorkerRuntime, bytes], bytes]] = {
-    rpc.OP_LOAD_SHARD: _handle_load_shard,
-    rpc.OP_BUILD_ERA: _handle_build_era,
-    rpc.OP_GET_SNAPSHOT: _handle_get_snapshot,
-    rpc.OP_GET_SNAPSHOTS: _handle_get_snapshots,
-    rpc.OP_GET_INTERVAL: _handle_get_interval,
-    rpc.OP_REPLAY_STATE: _handle_replay_state,
-    rpc.OP_FETCH_EVENTLIST: _handle_fetch_eventlist,
-    rpc.OP_STATS: _handle_stats,
-    rpc.OP_PING: _handle_ping,
+def _index_read(method: str) -> Callable:
+    """A handler answering with the loaded index's ``method``, called with
+    the request's fields in :data:`rpc.CALLS <repro.sharding.rpc.CALLS>`
+    order (which is the method's own parameter order)."""
+    def handler(runtime: _WorkerRuntime, *args: Any) -> Any:
+        return getattr(runtime.require_index(), method)(*args)
+    return handler
+
+
+#: opcode -> ``handler(runtime, *request fields) -> response value(s)``.
+_HANDLERS: Dict[int, Callable[..., Any]] = {
+    rpc.OP_LOAD_SHARD: _load_shard,
+    rpc.OP_BUILD_ERA: _build_era,
+    rpc.OP_GET_SNAPSHOT: _index_read("get_snapshot"),
+    rpc.OP_GET_SNAPSHOTS: _index_read("get_snapshots"),
+    rpc.OP_GET_INTERVAL: _index_read("get_interval_graph"),
+    rpc.OP_REPLAY_STATE: _index_read("replay_state"),
+    rpc.OP_FETCH_EVENTLIST: _index_read("fetch_eventlist"),
+    rpc.OP_STATS: _stats,
+    rpc.OP_PING: _ping,
 }
 
 
@@ -288,14 +221,12 @@ def worker_main(sock: socket.socket, shard_id: int) -> None:
             if opcode == rpc.OP_SHUTDOWN:
                 rpc.send_frame(sock, rpc.encode_response(request_id))
                 return
-            handler = _HANDLERS.get(opcode)
             try:
-                if handler is None:
-                    raise WorkerProtocolError(f"unknown worker opcode "
-                                              f"{opcode}")
-                result = handler(runtime, payload)
+                args = rpc.decode_args(opcode, payload)
+                result = _HANDLERS[opcode](runtime, *args)
                 runtime.served_ops += 1
-                response = rpc.encode_response(request_id, result)
+                response = rpc.encode_response(
+                    request_id, rpc.encode_result(opcode, result))
             except Exception as exc:  # relay typed, keep serving
                 response = rpc.encode_error(request_id,
                                             rpc.error_code_for(exc),
@@ -507,6 +438,14 @@ class ShardWorker:
 
     # -- operations ----------------------------------------------------
 
+    def _call(self, opcode: int, *args: Any,
+              timeout: Optional[float] = None) -> Any:
+        """One typed round trip: ``args`` out and the result back through
+        the opcode's :data:`rpc.CALLS <repro.sharding.rpc.CALLS>` layouts."""
+        body = self._round_trip(opcode, rpc.encode_args(opcode, args),
+                                timeout=timeout)
+        return rpc.decode_result(opcode, body)
+
     def ping(self, timeout: float = DEFAULT_PING_TIMEOUT,
              delay: float = 0.0) -> int:
         """Health check; returns the worker's pid.
@@ -514,19 +453,13 @@ class ShardWorker:
         ``delay`` makes the worker sleep before answering — the knob the
         health-check-expiry tests use to force a deadline miss.
         """
-        out = bytearray()
-        rpc.write_delay(out, delay)
-        body = self._round_trip(rpc.OP_PING, bytes(out), timeout=timeout)
-        pid, _pos = rpc._read_uvarint(body, 0)
-        return pid
+        return self._call(rpc.OP_PING, delay, timeout=timeout)
 
     def load_shard(self, index: DeltaGraph, store,
                    cache_conf: Optional[Tuple[int, str]]) -> None:
         """Ship a sealed shard's index + store to the worker."""
-        spec, payload = export_store(store)
-        out = bytearray()
-        rpc.write_obj(out, (index.detach_state(), spec, payload, cache_conf))
-        self._round_trip(rpc.OP_LOAD_SHARD, bytes(out))
+        self._call(rpc.OP_LOAD_SHARD,
+                   (index.detach_state(), *export_store(store), cache_conf))
         self.mark_io_baseline()
 
     def build_era(self, events: Sequence[Event],
@@ -541,89 +474,46 @@ class ShardWorker:
         reopens/unpacks the store on its side and reattaches the state as
         its in-process fallback copy.
         """
-        out = bytearray()
-        rpc.write_obj(out, (store_spec, store_payload, index_kwargs,
-                            cache_conf, start_time))
-        rpc.write_opt_snapshot(out, initial_graph)
-        rpc.write_events(out, events)
-        body = self._round_trip(rpc.OP_BUILD_ERA, bytes(out))
-        (state, back_spec, back_payload), _pos = rpc.read_obj(body, 0)
+        built = self._call(
+            rpc.OP_BUILD_ERA,
+            (store_spec, store_payload, index_kwargs, cache_conf, start_time),
+            initial_graph, events)
         self.mark_io_baseline()
-        return state, back_spec, back_payload
+        return built
 
     def get_snapshot(self, time: int,
                      components: Optional[Sequence[str]] = None,
                      partitions: Optional[Sequence[int]] = None
                      ) -> GraphSnapshot:
-        out = bytearray()
-        rpc._write_varint(out, time)
-        rpc.write_opt_strs(out, components)
-        rpc.write_opt_ints(out, partitions)
-        body = self._round_trip(rpc.OP_GET_SNAPSHOT, bytes(out))
-        snapshot, _pos = rpc.read_opt_snapshot(body, 0)
-        if snapshot is None:
-            raise WorkerProtocolError("worker returned no snapshot")
-        return snapshot
+        return self._call(rpc.OP_GET_SNAPSHOT, time, components, partitions)
 
     def get_snapshots(self, times: Sequence[int],
                       components: Optional[Sequence[str]] = None,
                       partitions: Optional[Sequence[int]] = None
                       ) -> List[GraphSnapshot]:
-        out = bytearray()
-        rpc.write_times(out, times)
-        rpc.write_opt_strs(out, components)
-        rpc.write_opt_ints(out, partitions)
-        body = self._round_trip(rpc.OP_GET_SNAPSHOTS, bytes(out))
-        count, pos = rpc._read_uvarint(body, 0)
-        snapshots: List[GraphSnapshot] = []
-        for _ in range(count):
-            snapshot, pos = rpc.read_opt_snapshot(body, pos)
-            if snapshot is None:
-                raise WorkerProtocolError("worker returned a null snapshot")
-            snapshots.append(snapshot)
-        return snapshots
+        return self._call(rpc.OP_GET_SNAPSHOTS, times, components,
+                          partitions)
 
     def get_interval_graph(self, start: int, end: int,
                            components: Optional[Sequence[str]] = None,
                            include_transient: bool = True,
                            into: Optional[GraphSnapshot] = None
                            ) -> GraphSnapshot:
-        out = bytearray()
-        rpc._write_varint(out, start)
-        rpc._write_varint(out, end)
-        rpc.write_opt_strs(out, components)
-        out.append(1 if include_transient else 0)
-        rpc.write_opt_snapshot(out, into)
-        body = self._round_trip(rpc.OP_GET_INTERVAL, bytes(out))
-        snapshot, _pos = rpc.read_opt_snapshot(body, 0)
-        if snapshot is None:
-            raise WorkerProtocolError("worker returned no interval graph")
-        return snapshot
+        return self._call(rpc.OP_GET_INTERVAL, start, end, components,
+                          include_transient, into)
 
     def replay_state(self, components: Optional[Sequence[str]] = None
                      ) -> Tuple[List, List[Event]]:
-        out = bytearray()
-        rpc.write_opt_strs(out, components)
-        body = self._round_trip(rpc.OP_REPLAY_STATE, bytes(out))
-        spans, pos = rpc.read_obj(body, 0)
-        recent, _pos = rpc.read_events(body, pos)
-        return spans, recent
+        return self._call(rpc.OP_REPLAY_STATE, components)
 
     def fetch_eventlist(self, eventlist_id: str,
                         components: Optional[Sequence[str]] = None
                         ) -> List[Event]:
-        out = bytearray()
-        rpc._write_str(out, eventlist_id)
-        rpc.write_opt_strs(out, components)
-        body = self._round_trip(rpc.OP_FETCH_EVENTLIST, bytes(out))
-        events, _pos = rpc.read_events(body, 0)
-        return events
+        return self._call(rpc.OP_FETCH_EVENTLIST, eventlist_id, components)
 
     def stats_report(self, timeout: Optional[float] = None) -> Dict:
         """The worker-side counter report (pid, ops, ingest/io/cache)."""
-        body = self._round_trip(rpc.OP_STATS, b"", timeout=timeout)
-        report, _pos = rpc.read_obj(body, 0)
-        return report
+        return self._call(rpc.OP_STATS, timeout=timeout)
 
     # -- I/O accounting ------------------------------------------------
 
@@ -657,63 +547,3 @@ class ShardWorker:
                  else "closed" if self._closed else "dead")
         return (f"ShardWorker(#{self.shard_id} pid={self.pid} {state}, "
                 f"{self.round_trips} round trips)")
-
-
-# ---------------------------------------------------------------------------
-# scan chaining
-# ---------------------------------------------------------------------------
-
-class FailoverReplaySource:
-    """A scanner-facing replay source that prefers the shard's worker.
-
-    Quacks like the two-method slice of :class:`DeltaGraph` the evolution
-    scanner's replay cursors consume (``replay_state`` +
-    ``fetch_eventlist``).  Every call tries the worker first; a typed
-    transport failure flips the source to the retained in-process index
-    permanently (and notifies the federation via ``on_failure``), so a
-    worker dying mid-scan costs one failed round trip — never a wrong or
-    torn replay, because both sides serve the same write-once era.
-    """
-
-    def __init__(self, worker: ShardWorker, index: DeltaGraph,
-                 on_failure: Optional[Callable[[], None]] = None) -> None:
-        self._worker: Optional[ShardWorker] = worker
-        self._index = index
-        self._on_failure = on_failure
-
-    def _fail_over(self) -> None:
-        self._worker = None
-        if self._on_failure is not None:
-            self._on_failure()
-
-    def _current_worker(self) -> Optional[ShardWorker]:
-        """The worker if it can still serve; fails over (and notifies the
-        federation) the moment a crash-between-calls is noticed."""
-        worker = self._worker
-        if worker is None:
-            return None
-        if not worker.serving:
-            self._fail_over()
-            return None
-        return worker
-
-    def replay_state(self, components: Optional[Sequence[str]] = None):
-        worker = self._current_worker()
-        if worker is not None:
-            try:
-                return worker.replay_state(components)
-            except WorkerError:
-                self._fail_over()
-        return self._index.replay_state(components)
-
-    def fetch_eventlist(self, eventlist_id: str,
-                        components: Optional[Sequence[str]] = None,
-                        scratch: Optional[Dict] = None) -> List[Event]:
-        worker = self._current_worker()
-        if worker is not None:
-            try:
-                return worker.fetch_eventlist(eventlist_id, components)
-            except WorkerError:
-                self._fail_over()
-        return self._index.fetch_eventlist(eventlist_id, components,
-                                           scratch=scratch)

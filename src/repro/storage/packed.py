@@ -71,7 +71,17 @@ from typing import Dict, List, Tuple
 from ..errors import StorageError
 from .compression import Codec
 
-__all__ = ["PackedCodec", "PACKED_MAGIC", "PACKED_VERSION"]
+__all__ = [
+    "PACKED_MAGIC",
+    "PACKED_VERSION",
+    "PackedCodec",
+    "read_str",
+    "read_uvarint",
+    "read_varint",
+    "write_str",
+    "write_uvarint",
+    "write_varint",
+]
 
 PACKED_MAGIC = 0xD7
 PACKED_VERSION = 1
@@ -131,19 +141,19 @@ class _Unpackable(Exception):
 # varint primitives
 # ---------------------------------------------------------------------------
 
-def _write_uvarint(out: bytearray, value: int) -> None:
+def write_uvarint(out: bytearray, value: int) -> None:
     while value >= 0x80:
         out.append((value & 0x7F) | 0x80)
         value >>= 7
     out.append(value)
 
 
-def _write_varint(out: bytearray, value: int) -> None:
+def write_varint(out: bytearray, value: int) -> None:
     """Zigzag-encoded signed varint (small magnitudes stay small)."""
-    _write_uvarint(out, value * 2 if value >= 0 else -value * 2 - 1)
+    write_uvarint(out, value * 2 if value >= 0 else -value * 2 - 1)
 
 
-def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
+def read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
     result = 0
     shift = 0
     while True:
@@ -155,19 +165,19 @@ def _read_uvarint(data: bytes, pos: int) -> Tuple[int, int]:
         shift += 7
 
 
-def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
-    raw, pos = _read_uvarint(data, pos)
+def read_varint(data: bytes, pos: int) -> Tuple[int, int]:
+    raw, pos = read_uvarint(data, pos)
     return (raw >> 1) ^ -(raw & 1), pos
 
 
-def _write_str(out: bytearray, text: str) -> None:
+def write_str(out: bytearray, text: str) -> None:
     encoded = text.encode("utf-8")
-    _write_uvarint(out, len(encoded))
+    write_uvarint(out, len(encoded))
     out.extend(encoded)
 
 
-def _read_str(data: bytes, pos: int) -> Tuple[str, int]:
-    length, pos = _read_uvarint(data, pos)
+def read_str(data: bytes, pos: int) -> Tuple[str, int]:
+    length, pos = read_uvarint(data, pos)
     return data[pos:pos + length].decode("utf-8"), pos + length
 
 
@@ -184,31 +194,31 @@ def _write_value(out: bytearray, value: object) -> None:
         out.append(_V_TRUE)
     elif type(value) is int:
         out.append(_V_INT)
-        _write_varint(out, value)
+        write_varint(out, value)
     elif type(value) is float:
         out.append(_V_FLOAT)
         out.extend(_FLOAT.pack(value))
     elif type(value) is str:
         out.append(_V_STR)
-        _write_str(out, value)
+        write_str(out, value)
     elif type(value) is bytes:
         out.append(_V_BYTES)
-        _write_uvarint(out, len(value))
+        write_uvarint(out, len(value))
         out.extend(value)
     elif type(value) is tuple:
         out.append(_V_TUPLE)
-        _write_uvarint(out, len(value))
+        write_uvarint(out, len(value))
         for item in value:
             _write_value(out, item)
     elif type(value) is list:
         out.append(_V_LIST)
-        _write_uvarint(out, len(value))
+        write_uvarint(out, len(value))
         for item in value:
             _write_value(out, item)
     else:
         blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         out.append(_V_PICKLE)
-        _write_uvarint(out, len(blob))
+        write_uvarint(out, len(blob))
         out.extend(blob)
 
 
@@ -222,19 +232,19 @@ def _read_value(data: bytes, pos: int) -> Tuple[object, int]:
     if tag == _V_TRUE:
         return True, pos
     if tag == _V_INT:
-        return _read_varint(data, pos)
+        return read_varint(data, pos)
     if tag == _V_FLOAT:
         return _FLOAT.unpack_from(data, pos)[0], pos + 8
     if tag == _V_STR:
-        return _read_str(data, pos)
+        return read_str(data, pos)
     if tag == _V_BYTES:
-        length, pos = _read_uvarint(data, pos)
+        length, pos = read_uvarint(data, pos)
         return bytes(data[pos:pos + length]), pos + length
     if tag == _V_PICKLE:
-        length, pos = _read_uvarint(data, pos)
+        length, pos = read_uvarint(data, pos)
         return pickle.loads(data[pos:pos + length]), pos + length
     if tag in (_V_TUPLE, _V_LIST):
-        length, pos = _read_uvarint(data, pos)
+        length, pos = read_uvarint(data, pos)
         items = []
         for _ in range(length):
             item, pos = _read_value(data, pos)
@@ -269,30 +279,30 @@ def _sorted_section_keys(section: Dict) -> List[List[tuple]]:
 
 def _write_section_keys(out: bytearray, buckets: List[List[tuple]]) -> None:
     for code, bucket in enumerate(buckets):
-        _write_uvarint(out, len(bucket))
+        write_uvarint(out, len(bucket))
         previous = 0
         for key in bucket:
-            _write_varint(out, key[1] - previous)
+            write_varint(out, key[1] - previous)
             previous = key[1]
         if code >= 2:
             for key in bucket:
-                _write_str(out, key[2])
+                write_str(out, key[2])
 
 
 def _read_section_keys(data: bytes, pos: int) -> Tuple[List[tuple], int]:
     keys: List[tuple] = []
     for code in range(4):
-        count, pos = _read_uvarint(data, pos)
+        count, pos = read_uvarint(data, pos)
         ids = []
         previous = 0
         for _ in range(count):
-            delta, pos = _read_varint(data, pos)
+            delta, pos = read_varint(data, pos)
             previous += delta
             ids.append(previous)
         kind = _KEY_KINDS[code]
         if code >= 2:
             for element_id in ids:
-                attr, pos = _read_str(data, pos)
+                attr, pos = read_str(data, pos)
                 keys.append((kind, element_id, attr))
         else:
             keys.extend((kind, element_id) for element_id in ids)
@@ -347,7 +357,7 @@ def _pack_events(events) -> bytearray:
     from ..core.events import Event
 
     out = bytearray()
-    _write_uvarint(out, len(events))
+    write_uvarint(out, len(events))
     flag_list: List[int] = []
     # Column 1: type codes.
     for event in events:
@@ -359,7 +369,7 @@ def _pack_events(events) -> bytearray:
     for event in events:
         if type(event.time) is not int:
             raise _Unpackable
-        _write_varint(out, event.time - previous_time)
+        write_varint(out, event.time - previous_time)
         previous_time = event.time
     # Column 3: presence bitmasks.
     for event in events:
@@ -383,7 +393,7 @@ def _pack_events(events) -> bytearray:
         if event.directed:
             flags |= _F_DIRECTED
         flag_list.append(flags)
-        _write_uvarint(out, flags)
+        write_uvarint(out, flags)
     # Column 4: present id fields.
     for event, flags in zip(events, flag_list):
         for present, field in ((flags & _F_NODE_ID, event.node_id),
@@ -393,13 +403,13 @@ def _pack_events(events) -> bytearray:
             if present:
                 if type(field) is not int:
                     raise _Unpackable
-                _write_varint(out, field)
+                write_varint(out, field)
     # Column 5: attribute names.
     for event, flags in zip(events, flag_list):
         if flags & _F_ATTR:
             if type(event.attr) is not str:
                 raise _Unpackable
-            _write_str(out, event.attr)
+            write_str(out, event.attr)
     # Column 6: values and attribute payloads.
     for event, flags in zip(events, flag_list):
         if flags & _F_OLD:
@@ -410,12 +420,12 @@ def _pack_events(events) -> bytearray:
             attributes = event.attributes
             if type(attributes) is not tuple:
                 raise _Unpackable
-            _write_uvarint(out, len(attributes))
+            write_uvarint(out, len(attributes))
             for pair in attributes:
                 if (type(pair) is not tuple or len(pair) != 2
                         or type(pair[0]) is not str):
                     raise _Unpackable
-                _write_str(out, pair[0])
+                write_str(out, pair[0])
                 _write_value(out, pair[1])
     return out
 
@@ -423,26 +433,26 @@ def _pack_events(events) -> bytearray:
 def _unpack_events(data: bytes, pos: int) -> list:
     from ..core.events import Event, EventType
 
-    count, pos = _read_uvarint(data, pos)
+    count, pos = read_uvarint(data, pos)
     types = [EventType(_EVENT_TYPE_VALUES[data[pos + i]])
              for i in range(count)]
     pos += count
     times: List[int] = []
     previous_time = 0
     for _ in range(count):
-        delta, pos = _read_varint(data, pos)
+        delta, pos = read_varint(data, pos)
         previous_time += delta
         times.append(previous_time)
     flag_list: List[int] = []
     for _ in range(count):
-        flags, pos = _read_uvarint(data, pos)
+        flags, pos = read_uvarint(data, pos)
         flag_list.append(flags)
     ids: List[Tuple] = []
     for flags in flag_list:
         fields = []
         for bit in (_F_NODE_ID, _F_EDGE_ID, _F_SRC, _F_DST):
             if flags & bit:
-                value, pos = _read_varint(data, pos)
+                value, pos = read_varint(data, pos)
                 fields.append(value)
             else:
                 fields.append(None)
@@ -450,7 +460,7 @@ def _unpack_events(data: bytes, pos: int) -> list:
     attrs: List = [None] * count
     for index, flags in enumerate(flag_list):
         if flags & _F_ATTR:
-            attrs[index], pos = _read_str(data, pos)
+            attrs[index], pos = read_str(data, pos)
     events: List[Event] = []
     for index, flags in enumerate(flag_list):
         old_value = new_value = None
@@ -460,10 +470,10 @@ def _unpack_events(data: bytes, pos: int) -> list:
             new_value, pos = _read_value(data, pos)
         attributes: tuple = ()
         if flags & _F_ATTRIBUTES:
-            n_attrs, pos = _read_uvarint(data, pos)
+            n_attrs, pos = read_uvarint(data, pos)
             pairs = []
             for _ in range(n_attrs):
-                name, pos = _read_str(data, pos)
+                name, pos = read_str(data, pos)
                 value, pos = _read_value(data, pos)
                 pairs.append((name, value))
             attributes = tuple(pairs)

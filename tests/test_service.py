@@ -17,6 +17,7 @@ Four layers of coverage:
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
@@ -266,6 +267,19 @@ class TestServiceEndToEnd:
                 client.get_snapshot(-5)
             # The connection survives a relayed error.
             client.ping()
+
+    def test_corrupt_ingest_payload_is_rejected_typed(self, server):
+        """A well-framed ingest whose codec blob is garbage gets the typed
+        ``protocol`` rejection — the connection handler must not die on the
+        codec's own exception before answering."""
+        body = bytes.fromhex("c5010101010502") + b"ab"
+        with socket.create_connection((server.host, server.port),
+                                      timeout=10) as sock:
+            sock.sendall(encode_frame(body))
+            reader = sock.makefile("rb")
+            reply = reader.read(frame_length(reader.read(4)))
+        with pytest.raises(ProtocolError, match="corrupt"):
+            decode_response(reply)
 
     def test_batch_is_one_frame_with_in_order_results(self, server):
         with ServiceClient(server.host, server.port) as client:

@@ -27,6 +27,7 @@ from test_ingest_conformance import canonical_bytes, make_trace
 
 from repro.errors import TimeOutOfRangeError
 from repro.core.deltagraph import DeltaGraph
+from repro.scan import EvolutionScanner
 from repro.sharding import (
     EventCountPolicy,
     ShardedHistoryIndex,
@@ -116,6 +117,74 @@ def test_scan_source_fails_over_mid_scan(child_reaper):
     spans_after, _recent = source.replay_state()  # silently in-process now
     assert len(spans_after) == len(spans_via_worker)
     assert shard.worker is None, "failover callback must retire the worker"
+
+
+def _eventlists(source, shard):
+    """Every sealed eventlist of ``shard``, fetched through ``source``."""
+    spans, _recent = shard.index.replay_state()
+    return [source.fetch_eventlist(span[2]) for span in spans]
+
+
+#: read -> (federation, unsharded reference, t in shard 0) -> (got, want).
+#: The two replay calls have no unsharded counterpart (spans are per-index);
+#: they compare against the retained in-process copy, which the conformance
+#: suites hold to that same reference.
+FALLBACK_READS = {
+    "get_snapshot": lambda fed, ref, t: (
+        fed.get_snapshot(t), ref.get_snapshot(t)),
+    "get_snapshots": lambda fed, ref, t: (
+        fed.get_snapshots([t, fed.tail.t_lo, t + 1]),
+        ref.get_snapshots([t, fed.tail.t_lo, t + 1])),
+    "get_interval_graph": lambda fed, ref, t: (
+        fed.get_interval_graph(t, fed.tail.t_lo + 3),
+        ref.get_interval_graph(t, fed.tail.t_lo + 3)),
+    "replay_state": lambda fed, ref, t: (
+        fed.shards[0].replay_state(), fed.shards[0].index.replay_state()),
+    "fetch_eventlist": lambda fed, ref, t: (
+        _eventlists(fed.shards[0], fed.shards[0]),
+        _eventlists(fed.shards[0].index, fed.shards[0])),
+}
+
+
+def _bytes_of(value):
+    if isinstance(value, (list, tuple)):
+        return [_bytes_of(item) for item in value]
+    return canonical_bytes(value) if hasattr(value, "element_map") else value
+
+
+@pytest.mark.parametrize("backend", ["memory", "disk"])
+@pytest.mark.parametrize("read", sorted(FALLBACK_READS))
+def test_every_shard_read_falls_back_once_when_its_worker_is_dead(
+        child_reaper, tmp_path, backend, read):
+    """Each of EraShard's five read calls, made first on a dead worker:
+    same bytes as the reference, the worker retired, and the fallback and
+    the crash counted exactly once — never again on later reads."""
+    events = make_trace(300, seed=7)
+    reference = DeltaGraph.build(events, leaf_eventlist_size=LEAF)
+    fed = build_federation(child_reaper, events, per_era=100,
+                           tmp_path=tmp_path if backend == "disk" else None)
+    victim = fed.shards[0]
+    assert victim.worker is not None and victim.worker.serving
+    before = fed._worker_events
+    t = (victim.t_lo + victim.t_hi) // 2
+
+    victim.worker.inject_crash()
+    got, want = FALLBACK_READS[read](fed, reference, t)
+    assert _bytes_of(got) == _bytes_of(want)
+    assert victim.worker is None, "the dead worker must be retired"
+    after = fed._worker_events
+    assert after["fallbacks"] == before["fallbacks"] + 1
+    assert after["crashes"] == before["crashes"] + 1
+
+    got, want = FALLBACK_READS[read](fed, reference, t)
+    assert _bytes_of(got) == _bytes_of(want)
+    assert fed._worker_events == after, "one fallback per dead worker"
+    # The whole federation still scans byte-identically across the era.
+    times = [t, victim.t_hi, events.end_time]
+    for step, want_snapshot in zip(EvolutionScanner(fed).scan(times),
+                                   reference.get_snapshots(times)):
+        assert canonical_bytes(step.snapshot()) == \
+            canonical_bytes(want_snapshot)
 
 
 # ---------------------------------------------------------------------------
@@ -261,25 +330,8 @@ def test_rpc_error_frames_round_trip_worker_and_service_codes():
     assert isinstance(rpc.exception_for("no-such-code", "m"), Exception)
 
 
-def test_rpc_optional_sequences_distinguish_none_from_empty():
-    for values in (None, [], ["struct", "attr"]):
-        out = bytearray()
-        rpc.write_opt_strs(out, values)
-        got, pos = rpc.read_opt_strs(bytes(out), 0)
-        assert got == values and pos == len(out)
-    for values in (None, [], [3, 1, 2]):
-        out = bytearray()
-        rpc.write_opt_ints(out, values)
-        got, pos = rpc.read_opt_ints(bytes(out), 0)
-        assert got == values and pos == len(out)
-
-
-def test_rpc_times_are_delta_coded_and_round_trip():
-    times = [5, 5, 9, 100, 7, -3]
-    out = bytearray()
-    rpc.write_times(out, times)
-    got, pos = rpc.read_times(bytes(out), 0)
-    assert got == times and pos == len(out)
+# The field codecs these envelopes carry (optional lists, delta-coded times,
+# snapshots) are the shared wire layer's: see tests/test_wire.py.
 
 
 # ---------------------------------------------------------------------------

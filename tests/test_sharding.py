@@ -517,13 +517,3 @@ class TestMultipoint:
         snapshots = index.get_snapshots([t, t, t])
         maps = [s.element_map() for s in snapshots]
         assert maps[0] == maps[1] == maps[2]
-
-    def test_workers_one_serializes_without_changing_results(self):
-        events = simple_trace(150)
-        index = build_sharded(events, per_era=40)
-        times = [events.start_time, index.shards[1].t_lo,
-                 index.shards[2].t_lo, events.end_time]
-        serial = index.get_snapshots(times, workers=1)
-        parallel = index.get_snapshots(times, workers=4)
-        for a, b in zip(serial, parallel):
-            assert a.element_map() == b.element_map()

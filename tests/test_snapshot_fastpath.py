@@ -1,14 +1,14 @@
 """Tests for the snapshot fast path: iterative multipoint execution,
-parallel subtree/partition retrieval, and the codec configuration knob.
+parallel partition retrieval, and the codec configuration knob.
 
 Covers the regressions the fast path could introduce:
 
 * the iterative Steiner executor must handle skeletons deeper than Python's
   recursion limit (small leaves x long history => plans with thousands of
   chained eventlist steps),
-* ``get_snapshot_parallel`` and ``get_snapshots(workers=N)`` must return
-  element-identical snapshots to their serial counterparts across component
-  subsets, partition counts, and cache configurations,
+* ``get_snapshot_parallel`` must return element-identical snapshots to its
+  serial counterpart across component subsets, partition counts, and cache
+  configurations,
 * ``DeltaGraphConfig.codec`` must install the requested codec on the store
   (and refuse stores that cannot honour it).
 """
@@ -148,39 +148,6 @@ class TestParallelSinglepointEquivalence:
                     == cached.get_snapshot(t).elements)
 
 
-class TestParallelMultipointEquivalence:
-    def test_workers_do_not_change_results(self, small_churn_trace):
-        index = DeltaGraph.build(small_churn_trace, leaf_eventlist_size=250,
-                                 arity=2)
-        index.materialize_level_below_root(1)
-        times = spread_times(small_churn_trace, count=6)
-        serial = index.get_snapshots(times, workers=1)
-        for workers in (2, 4):
-            parallel = index.get_snapshots(times, workers=workers)
-            for a, b in zip(serial, parallel):
-                assert a.elements == b.elements
-
-    def test_config_default_workers(self, small_churn_trace):
-        index = DeltaGraph.build(small_churn_trace, leaf_eventlist_size=250,
-                                 arity=2, multipoint_workers=4)
-        times = spread_times(small_churn_trace, count=4)
-        multi = index.get_snapshots(times)
-        for t, snapshot in zip(times, multi):
-            assert snapshot.elements == index.get_snapshot(t).elements
-
-    def test_subtree_split_covers_all_steps(self, small_churn_trace):
-        index = DeltaGraph.build(small_churn_trace, leaf_eventlist_size=250,
-                                 arity=2)
-        index.materialize_level_below_root(1)
-        times = spread_times(small_churn_trace, count=6)
-        components = ("struct", "nodeattr", "edgeattr")
-        steps, _mapping, _ordered = index._plan_steiner(times, components)
-        groups = index._split_subtrees(steps)
-        regrouped = [id(step) for group in groups for step in group]
-        assert sorted(regrouped) == sorted(id(step) for step in steps)
-        assert len(regrouped) == len(set(regrouped))
-
-
 # ---------------------------------------------------------------------------
 # codec configuration knob
 # ---------------------------------------------------------------------------
@@ -223,7 +190,3 @@ class TestCodecKnob:
     def test_unknown_codec_name_rejected(self):
         with pytest.raises(ConfigurationError):
             DeltaGraphConfig(codec="msgpack").validate()
-
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ConfigurationError):
-            DeltaGraphConfig(multipoint_workers=0).validate()
