@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: test bench check lint examples profile clean
+.PHONY: test bench bench-e2e check lint examples profile clean
 
 ## Unit tests only (~45 s)
 test:
@@ -13,6 +13,10 @@ test:
 ## Paper-figure benchmark suite (a few minutes; REPRO_BENCH_EVENTS scales it)
 bench:
 	$(PYTHON) -m pytest benchmarks -q
+
+## End-to-end benchmark: 5 runs of each workload, for bench/compare.py
+bench-e2e:
+	$(PYTHON) bench/run.py --seed 1 --repeat 5 --out bench/out/e2e.json
 
 ## Tier-1 verification: the full suite, fail-fast
 check:

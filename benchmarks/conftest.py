@@ -18,9 +18,12 @@ Each benchmark also writes a JSON record of the series it measured to
 
 from __future__ import annotations
 
+import gc
 import json
+import math
 import os
-from typing import Dict, List
+import time
+from typing import Callable, Dict, List, Sequence
 
 import pytest
 
@@ -87,6 +90,43 @@ def uniform_times(events: EventList, count: int) -> List[int]:
     """``count`` query timepoints uniformly spaced over the trace's lifespan."""
     start, end = events.start_time, events.end_time
     return [start + (end - start) * (i + 1) // (count + 1) for i in range(count)]
+
+
+def wall_seconds(query: Callable[[int], object]) -> Callable[[int], float]:
+    """``t -> seconds`` that ``query(t)`` took on the wall clock."""
+    def measure(t: int) -> float:
+        started = time.perf_counter()
+        query(t)
+        return time.perf_counter() - started
+    return measure
+
+
+def best_of_interleaved(measures: Sequence[Callable[[int], float]],
+                        times: Sequence[int],
+                        sweeps: int = 10) -> List[List[float]]:
+    """Per-measure, per-timepoint minimum over ``sweeps`` interleaved runs.
+
+    Each sweep visits every timepoint once and runs all ``measures`` on it
+    back to back, so a burst of load from elsewhere on the machine lands on
+    every compared series alike instead of on whichever ran at the time;
+    the minimum over sweeps then sheds what is left of it.  The per-timepoint
+    shape of each series is kept (late timepoints may genuinely cost more).
+    The garbage collector is paused while measuring, as :mod:`timeit` does:
+    a full collection walks everything earlier tests left alive, and that
+    cost belongs to no query.
+    """
+    best = [[math.inf] * len(times) for _ in measures]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _sweep in range(sweeps):
+            for position, t in enumerate(times):
+                for series, measure in zip(best, measures):
+                    series[position] = min(series[position], measure(t))
+    finally:
+        if was_enabled:
+            gc.enable()
+    return best
 
 
 @pytest.fixture(scope="session")

@@ -12,24 +12,13 @@
 from __future__ import annotations
 
 import statistics
-import time
-
 
 from repro.core.deltagraph import DeltaGraph
 from repro.core.differential import MixedFunction
 
-from conftest import uniform_times
+from conftest import best_of_interleaved, uniform_times, wall_seconds
 
 NUM_QUERIES = 15
-
-
-def _per_query_seconds(index, times):
-    series = []
-    for t in times:
-        started = time.perf_counter()
-        index.get_snapshot(t)
-        series.append(time.perf_counter() - started)
-    return series
 
 
 def _skew(series):
@@ -50,12 +39,13 @@ def test_fig11a_intersection_vs_balanced(benchmark, recorder, dataset1):
                                          arity=4,
                                          differential_functions=("balanced",))
     balanced_root_mat.materialize_roots()
-    series = {
-        "intersection": _per_query_seconds(intersection, times),
-        "balanced": _per_query_seconds(balanced, times),
-        "balanced_root_materialized": _per_query_seconds(balanced_root_mat,
-                                                         times),
-    }
+    indexes = {"intersection": intersection, "balanced": balanced,
+               "balanced_root_materialized": balanced_root_mat}
+    # The two Balanced variants differ by a few percent per query, so
+    # twice the default sweeps.
+    series = dict(zip(indexes, best_of_interleaved(
+        [wall_seconds(index.get_snapshot) for index in indexes.values()],
+        times, sweeps=20)))
     benchmark(lambda: intersection.get_snapshot(times[-1]))
     recorder("fig11a_differential_functions", {
         "query_times": times,
@@ -78,12 +68,12 @@ def test_fig11a_intersection_vs_balanced(benchmark, recorder, dataset1):
 def test_fig11b_mixed_function_parameters(benchmark, recorder, dataset1):
     times = uniform_times(dataset1, NUM_QUERIES)
     settings = (0.1, 0.5, 0.9)
-    results = {}
-    for r in settings:
-        index = DeltaGraph.build(
-            dataset1, leaf_eventlist_size=1000, arity=4,
-            differential_functions=(MixedFunction(r1=r, r2=r),))
-        results[r] = _per_query_seconds(index, times)
+    indexes = [DeltaGraph.build(
+        dataset1, leaf_eventlist_size=1000, arity=4,
+        differential_functions=(MixedFunction(r1=r, r2=r),))
+        for r in settings]
+    results = dict(zip(settings, best_of_interleaved(
+        [wall_seconds(index.get_snapshot) for index in indexes], times)))
     benchmark(lambda: None)
     recorder("fig11b_mixed_parameters", {
         "query_times": times,

@@ -16,38 +16,18 @@ materialization).
 from __future__ import annotations
 
 import statistics
-import time
 
 import pytest
 
 from repro.baselines.interval_tree import IntervalTreeSnapshotStore
 from repro.core.deltagraph import DeltaGraph
 
+from conftest import best_of_interleaved, wall_seconds
+
 ARITY = 4
 LEAF_SIZE = 1000
 #: Rough bytes per materialized GraphPool entry, for the memory comparison.
 ENTRY_BYTES = 100
-
-
-def _timed_queries(store, times):
-    """Per-query best-of-two sweeps.
-
-    The per-timepoint *distribution* is the signal here (late timepoints
-    genuinely cost the interval tree more), so medians across timepoints
-    would distort the comparison; instead each query keeps the better of
-    two runs, shedding one-off scheduler pauses on a busy single-core box
-    without touching the distribution's shape.
-    """
-    series = None
-    for _sweep in range(2):
-        current = []
-        for t in times:
-            started = time.perf_counter()
-            store.get_snapshot(t)
-            current.append(time.perf_counter() - started)
-        series = (current if series is None else
-                  [min(a, b) for a, b in zip(series, current)])
-    return series
 
 
 @pytest.fixture(scope="module")
@@ -78,9 +58,13 @@ def test_fig7a_retrieval_times(benchmark, recorder, interval_tree,
                                dg_total_materialization,
                                query_times_dataset2):
     times = query_times_dataset2
-    tree_series = _timed_queries(interval_tree, times)
-    grandchild_series = _timed_queries(dg_grandchildren_materialized, times)
-    total_series = _timed_queries(dg_total_materialization, times)
+    # Per-timepoint minima, not medians across timepoints: the interval
+    # tree's cost depends on the timepoint (late ones genuinely cost more),
+    # and that distribution is the signal.
+    tree_series, grandchild_series, total_series = best_of_interleaved(
+        [wall_seconds(store.get_snapshot)
+         for store in (interval_tree, dg_grandchildren_materialized,
+                       dg_total_materialization)], times)
     benchmark(lambda: dg_grandchildren_materialized.get_snapshot(times[-1]))
     recorder("fig7a_retrieval", {
         "query_times": times,

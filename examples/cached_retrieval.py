@@ -7,7 +7,7 @@ Demonstrates the retrieval caching subsystem (see DESIGN.md §4):
    :class:`~repro.cache.delta_cache.DeltaCache`,
 2. run the same singlepoint workload cold and warm and compare latencies
    and store I/O,
-3. share one cache between two managers over the same GraphPool,
+3. share the index's cache between two managers over the same index,
 4. inspect ``DeltaCache.stats()``.
 
 Run with:  python examples/cached_retrieval.py
@@ -42,7 +42,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         store = InstrumentedKVStore(
             DiskKVStore(os.path.join(tmp, "index.db")))
-        cache = DeltaCache(max_bytes=64 << 20, policy="lru")
+        cache = DeltaCache(max_bytes=64 << 20)
         index = DeltaGraph.build(events, store=store,
                                  leaf_eventlist_size=750, arity=4,
                                  cache=cache)
@@ -64,9 +64,9 @@ def main() -> None:
               f"(x{statistics.mean(cold) / statistics.mean(warm):.1f} faster)")
 
         # --------------------------------------------------------------
-        # Two managers, one GraphPool, one cache.
+        # Two managers, one index, one cache (the index's).
         # --------------------------------------------------------------
-        pool = GraphPool(delta_cache=cache)
+        pool = GraphPool()
         alice = GraphManager(index, pool=pool)
         bob = GraphManager(index, pool=pool)
         alice.get_hist_graph(times[3])

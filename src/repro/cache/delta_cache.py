@@ -30,18 +30,21 @@ The cache is thread-safe (one reentrant lock around every operation), bounded
 by *bytes* rather than entry count — delta and event-list sizes are estimated
 structurally (entry counts times calibrated constants; unknown shapes fall
 back to the pickle-based accounting the storage instrumentation uses) — and
-exposes hit/miss/eviction counters through :meth:`DeltaCache.stats`.
+exposes hit/miss/eviction counters through :meth:`DeltaCache.stats`.  It
+evicts the least recently used entry first: consecutive snapshot queries
+slide along the timeline, so the deltas a query just touched are the ones
+its neighbours want next.
 """
 
 from __future__ import annotations
 
 import pickle
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Optional, Set, Tuple
 
 from ..errors import ConfigurationError
-from .policies import EvictionPolicy, get_policy
 
 __all__ = ["CacheStats", "DeltaCache", "DEFAULT_CACHE_BYTES"]
 
@@ -123,18 +126,15 @@ class DeltaCache:
     Parameters
     ----------
     max_bytes:
-        Byte budget; inserting past it evicts victims chosen by ``policy``
+        Byte budget; inserting past it evicts least recently used entries
         until the new entry fits.  Values larger than the whole budget are
         never cached.
-    policy:
-        Eviction policy: ``"lru"`` (default), ``"lfu"``, ``"clock"``, or an
-        :class:`~repro.cache.policies.EvictionPolicy` instance/class.
     sizer:
         Optional ``value -> bytes`` override for size accounting.
 
     Example
     -------
-    >>> cache = DeltaCache(max_bytes=1 << 20, policy="lru")
+    >>> cache = DeltaCache(max_bytes=1 << 20)
     >>> index = DeltaGraph.build(events, store=store, cache=cache)
     >>> index.get_snapshot(t1); index.get_snapshot(t2)
     >>> cache.stats().hit_rate        # doctest: +SKIP
@@ -142,16 +142,16 @@ class DeltaCache:
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES,
-                 policy="lru",
                  sizer: Optional[Callable[[object], int]] = None) -> None:
         if max_bytes < 1:
             raise ConfigurationError("cache max_bytes must be >= 1")
         self.max_bytes = int(max_bytes)
-        self._policy: EvictionPolicy = get_policy(policy)
-        self._policy._bound_to_cache = True  # one cache per policy instance
         self._sizer = sizer if sizer is not None else _default_sizer
-        #: key -> (value, size, group)
-        self._entries: Dict[str, Tuple[object, int, Optional[str]]] = {}
+        #: key -> (value, size, group), least recently used first.  An
+        #: OrderedDict rather than a dict with pop-and-reinsert: after many
+        #: deletions at the front, ``next(iter(dict))`` scans dead slots.
+        self._entries: "OrderedDict[str, Tuple[object, int, Optional[str]]]" \
+            = OrderedDict()
         #: group -> keys currently cached under it
         self._groups: Dict[str, Set[str]] = {}
         self._current_bytes = 0
@@ -174,7 +174,7 @@ class DeltaCache:
                 self._misses += 1
                 return False, None
             self._hits += 1
-            self._policy.on_access(key)
+            self._entries.move_to_end(key)
             return True, entry[0]
 
     def get(self, key: str, default: object = None) -> object:
@@ -209,26 +209,22 @@ class DeltaCache:
         on-disk payload size pass it through).  ``group`` associates the
         entry with an invalidation group — the DeltaGraph uses the owning
         ``delta_id`` so a re-written delta drops all its cached pieces.
+        A refresh too large to cache still drops the old value (counted as
+        an invalidation), so the key never reads back stale.
         """
         nbytes = max(1, int(size) if size is not None else self._sizer(value))
-        if nbytes > self.max_bytes:
-            return False
         with self._lock:
+            if nbytes > self.max_bytes:
+                self._remove(key, count_invalidation=True)
+                return False
             if key in self._entries:
                 self._remove(key, count_invalidation=False)
-            while (self._current_bytes + nbytes > self.max_bytes
-                   and self._entries):
-                victim = self._policy.victim()
-                if victim is None or victim not in self._entries:
-                    # Defensive: a policy out of sync with the entry table
-                    # (impossible while the one-cache-per-policy binding
-                    # holds) must not spin the eviction loop forever.
-                    break  # pragma: no cover
+            while self._current_bytes + nbytes > self.max_bytes:
+                victim = next(iter(self._entries))
                 self._remove(victim, count_invalidation=False)
                 self._evictions += 1
             self._entries[key] = (value, nbytes, group)
             self._current_bytes += nbytes
-            self._policy.on_insert(key)
             if group is not None:
                 self._groups.setdefault(group, set()).add(key)
             self._insertions += 1
@@ -240,7 +236,6 @@ class DeltaCache:
             return
         _value, nbytes, group = value_size_group
         self._current_bytes -= nbytes
-        self._policy.on_remove(key)
         if group is not None:
             keys = self._groups.get(group)
             if keys is not None:
@@ -316,11 +311,6 @@ class DeltaCache:
             self._hits = self._misses = 0
             self._evictions = self._insertions = self._invalidations = 0
 
-    @property
-    def policy_name(self) -> str:
-        """Name of the active eviction policy."""
-        return self._policy.name
-
     def current_bytes(self) -> int:
         """Bytes currently charged against the budget."""
         with self._lock:
@@ -332,6 +322,5 @@ class DeltaCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.stats()
-        return (f"DeltaCache(policy={self.policy_name}, "
-                f"entries={s.entries}, bytes={s.current_bytes}/"
+        return (f"DeltaCache(entries={s.entries}, bytes={s.current_bytes}/"
                 f"{s.max_bytes}, hit_rate={s.hit_rate:.2f})")

@@ -35,7 +35,7 @@ import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..cache.delta_cache import CacheStats, DeltaCache
 from ..errors import ConfigurationError, DeltaGraphIndexError, QueryError
@@ -148,6 +148,18 @@ def split_events_by_component(events: Iterable[Event]) -> Dict[str, List[Event]]
     return out
 
 
+def _merge_delta(pieces: List[Delta]) -> Delta:
+    """Merge stored delta components into one delta."""
+    return Delta.merge_components(pieces) if pieces else Delta.empty()
+
+
+def _merge_events(pieces: List[List[Event]]) -> List[Event]:
+    """Concatenate stored eventlist components, stable-sorted by time."""
+    merged = list(itertools.chain.from_iterable(pieces))
+    merged.sort(key=lambda e: e.time)
+    return merged
+
+
 @dataclass
 class DeltaGraphConfig:
     """Construction parameters of a DeltaGraph (Section 4.6).
@@ -170,26 +182,12 @@ class DeltaGraphConfig:
         :class:`~repro.cache.delta_cache.DeltaCache` of this byte budget
         (an explicitly passed cache instance takes precedence).  0 disables
         caching unless a cache is injected.
-    cache_policy:
-        Eviction policy of the owned cache: ``"lru"``, ``"lfu"``, ``"clock"``.
     codec:
         Serialization for stored delta/eventlist payloads: ``"pickle"``,
         ``"compressed"`` (pickle + zlib, the historical default), or
         ``"packed"`` (struct-packed columnar format, pickle fallback for
         payloads outside its schema; see :mod:`repro.storage.packed`).
         ``None`` leaves the store's own codec untouched.
-    events_per_leaf:
-        Leaf-seal threshold for live ingestion: once this many appended
-        events have accumulated in the recent eventlist, a new leaf is sealed
-        and the hierarchy grown in place.  ``None`` (the default) uses
-        ``leaf_eventlist_size``, which keeps live-sealed leaves identical in
-        size to bulk-built ones; a smaller value trades leaf uniformity for
-        fresher indexed history.
-    seal_policy:
-        ``"size"`` (default) seals leaves automatically whenever
-        ``events_per_leaf`` events have accumulated; ``"manual"`` only seals
-        on an explicit :meth:`DeltaGraph.seal` call (useful when the caller
-        wants to align seals with its own batch boundaries).
     """
 
     leaf_eventlist_size: int = 1000
@@ -197,15 +195,7 @@ class DeltaGraphConfig:
     differential_functions: Sequence = ("intersection",)
     num_partitions: int = 1
     cache_max_bytes: int = 0
-    cache_policy: str = "lru"
     codec: Optional[str] = None
-    events_per_leaf: Optional[int] = None
-    seal_policy: str = "size"
-
-    def effective_events_per_leaf(self) -> int:
-        """The live-ingestion leaf-seal threshold actually in force."""
-        return (self.events_per_leaf if self.events_per_leaf is not None
-                else self.leaf_eventlist_size)
 
     def resolved_functions(self) -> List[DifferentialFunction]:
         """The differential functions as instantiated objects."""
@@ -237,12 +227,6 @@ class DeltaGraphConfig:
                 resolve_codec(self.codec)
             except ValueError as exc:
                 raise ConfigurationError(str(exc)) from None
-        if self.events_per_leaf is not None and self.events_per_leaf < 1:
-            raise ConfigurationError("events_per_leaf must be >= 1")
-        if self.seal_policy not in ("size", "manual"):
-            raise ConfigurationError(
-                f"unknown seal_policy {self.seal_policy!r}; "
-                "choose 'size' or 'manual'")
 
 
 @dataclass
@@ -353,8 +337,7 @@ class DeltaGraph:
         if cache is not None:
             self.cache: Optional[DeltaCache] = cache
         elif self.config.cache_max_bytes > 0:
-            self.cache = DeltaCache(max_bytes=self.config.cache_max_bytes,
-                                    policy=self.config.cache_policy)
+            self.cache = DeltaCache(max_bytes=self.config.cache_max_bytes)
         else:
             self.cache = None
         self._cache_namespace = _store_namespace(self.store)
@@ -430,10 +413,7 @@ class DeltaGraph:
               initial_graph: Optional[GraphSnapshot] = None,
               cache: Optional[DeltaCache] = None,
               cache_max_bytes: int = 0,
-              cache_policy: str = "lru",
               codec: Optional[str] = None,
-              events_per_leaf: Optional[int] = None,
-              seal_policy: str = "size",
               start_time: Optional[int] = None) -> "DeltaGraph":
         """Bulk-construct a DeltaGraph from a chronological event trace.
 
@@ -444,7 +424,7 @@ class DeltaGraph:
         Dataset 2/3-style traces start from a non-empty snapshot).
         ``aux_indexes`` is a sequence of objects implementing the auxiliary
         index protocol of :mod:`repro.auxindex.framework`.  ``cache`` (or the
-        ``cache_max_bytes``/``cache_policy`` knobs) enables the cross-query
+        ``cache_max_bytes`` knob) enables the cross-query
         :class:`~repro.cache.delta_cache.DeltaCache`.  ``codec`` selects the
         stored-payload serialization (see :class:`DeltaGraphConfig`).
         ``start_time`` pins the timestamp of leaf 0
@@ -459,9 +439,7 @@ class DeltaGraph:
             leaf_eventlist_size=leaf_eventlist_size, arity=arity,
             differential_functions=differential_functions,
             num_partitions=num_partitions,
-            cache_max_bytes=cache_max_bytes, cache_policy=cache_policy,
-            codec=codec,
-            events_per_leaf=events_per_leaf, seal_policy=seal_policy)
+            cache_max_bytes=cache_max_bytes, codec=codec)
         index = cls(store=store, config=config, cache=cache)
         index._bulk_load(EventList(events), aux_indexes or [],
                          initial_graph=initial_graph, start_time=start_time)
@@ -758,21 +736,28 @@ class DeltaGraph:
         return (f"assembled-{kind}/{delta_id}/{','.join(components)}"
                 f"/{','.join(map(str, partitions))}")
 
-    def _fetch_delta(self, delta_id: str, components: Sequence[str],
-                     partitions: Optional[Sequence[int]] = None,
-                     local: Optional[Dict] = None) -> Delta:
-        """Read and merge the requested delta components (cache first)."""
+    def _fetch(self, kind: str, merge: Callable[[list], object],
+               delta_id: str, components: Sequence[str],
+               partitions: Optional[Sequence[int]] = None,
+               local: Optional[Dict] = None):
+        """Read the requested components of one stored delta or eventlist
+        and ``merge`` the present pieces (cache first).
+
+        ``kind`` (``"delta"`` or ``"events"``) names the assembled cache
+        entry; ``merge`` is the matching :func:`_merge_delta` or
+        :func:`_merge_events`.
+        """
         part_list = list(range(self.config.num_partitions)
                          if partitions is None else partitions)
         cache = self.cache
         assembled_key = None
         if cache is not None:
             assembled_key = self._cache_key(self._assembled_key(
-                "delta", delta_id, components, part_list))
+                kind, delta_id, components, part_list))
             found, value = cache.lookup(assembled_key)
             if found:
                 return value
-        pieces: List[Delta] = []
+        pieces: list = []
         raw_keys: List[str] = []
         for partition_id in part_list:
             for component in components:
@@ -781,7 +766,7 @@ class DeltaGraph:
                 piece = self._load_stored(key, delta_id, local)
                 if piece is not None:
                     pieces.append(piece)
-        merged = Delta.merge_components(pieces) if pieces else Delta.empty()
+        merged = merge(pieces)
         if cache is not None:
             if cache.put(assembled_key, merged,
                          group=self._cache_group(delta_id)):
@@ -789,38 +774,6 @@ class DeltaGraph:
                 # keeping both would charge the byte budget twice per delta.
                 # A different (components, partitions) combination re-fetches
                 # its pieces through the batched prefetch path.
-                for key in raw_keys:
-                    cache.discard(self._cache_key(key))
-        return merged
-
-    def _fetch_events(self, eventlist_id: str, components: Sequence[str],
-                      partitions: Optional[Sequence[int]] = None,
-                      local: Optional[Dict] = None) -> List[Event]:
-        """Read and merge the requested eventlist components (cache first)."""
-        part_list = list(range(self.config.num_partitions)
-                         if partitions is None else partitions)
-        cache = self.cache
-        assembled_key = None
-        if cache is not None:
-            assembled_key = self._cache_key(self._assembled_key(
-                "events", eventlist_id, components, part_list))
-            found, value = cache.lookup(assembled_key)
-            if found:
-                return value
-        merged: List[Event] = []
-        raw_keys: List[str] = []
-        for partition_id in part_list:
-            for component in components:
-                key = make_key(partition_id, eventlist_id, component)
-                raw_keys.append(key)
-                piece = self._load_stored(key, eventlist_id, local)
-                if piece:
-                    merged.extend(piece)
-        merged.sort(key=lambda e: e.time)
-        if cache is not None:
-            if cache.put(assembled_key, merged,
-                         group=self._cache_group(eventlist_id)):
-                # Superseded by the assembled entry (see _fetch_delta).
                 for key in raw_keys:
                     cache.discard(self._cache_key(key))
         return merged
@@ -989,16 +942,18 @@ class DeltaGraph:
         if edge.kind == EdgeKind.DELTA:
             cache_key = (edge.delta_id, True)
             if cache_key not in delta_cache:
-                delta_cache[cache_key] = self._fetch_delta(
-                    edge.delta_id, components, partitions, local)
+                delta_cache[cache_key] = self._fetch(
+                    "delta", _merge_delta, edge.delta_id, components,
+                    partitions, local)
             delta: Delta = delta_cache[cache_key]
             return (delta.apply(snapshot) if step.forward
                     else delta.apply_inverse(snapshot))
         if edge.kind == EdgeKind.EVENTLIST:
             cache_key = (edge.delta_id, False)
             if cache_key not in delta_cache:
-                delta_cache[cache_key] = self._fetch_events(
-                    edge.delta_id, components, partitions, local)
+                delta_cache[cache_key] = self._fetch(
+                    "events", _merge_events, edge.delta_id, components,
+                    partitions, local)
             events: List[Event] = delta_cache[cache_key]
             snapshot.apply_events(events, forward=step.forward)
             return snapshot
@@ -1009,8 +964,9 @@ class DeltaGraph:
                 return snapshot
             cache_key = (edge.delta_id, False)
             if cache_key not in delta_cache:
-                delta_cache[cache_key] = self._fetch_events(
-                    edge.delta_id, components, partitions, local)
+                delta_cache[cache_key] = self._fetch(
+                    "events", _merge_events, edge.delta_id, components,
+                    partitions, local)
             events = delta_cache[cache_key]
             time = edge.virtual_time
             if edge.direction == "forward":
@@ -1218,8 +1174,8 @@ class DeltaGraph:
         calls so cacheless scans still read every storage key at most once.
         """
         components = self._normalize_components(components)
-        return list(self._fetch_events(eventlist_id, components,
-                                       local=scratch))
+        return list(self._fetch("events", _merge_events, eventlist_id,
+                                components, local=scratch))
 
     def recent_change_events(self, components: Optional[Sequence[str]] = None
                              ) -> List[Event]:
@@ -1289,8 +1245,8 @@ class DeltaGraph:
         self._prefetch_steps([PlanStep(edge, True) for edge in covering],
                              components, local=scratch)
         for edge in covering:
-            events = self._fetch_events(edge.delta_id, components,
-                                        local=scratch)
+            events = self._fetch("events", _merge_events, edge.delta_id,
+                                 components, local=scratch)
             for event in events:
                 if start <= event.time < end:
                     self._apply_interval_event(snapshot, event)
@@ -1539,9 +1495,8 @@ class DeltaGraph:
         """Ingest a batch of live events; returns the number appended.
 
         Events accumulate in the *recent eventlist* (immediately visible to
-        queries at recent timepoints); under the default ``seal_policy`` of
-        ``"size"``, every ``events_per_leaf`` accumulated events seal a new
-        leaf: the chunk is written as a leaf-eventlist, the new leaf joins
+        queries at recent timepoints); every ``leaf_eventlist_size``
+        accumulated events seal a new leaf: the chunk is written as a leaf-eventlist, the new leaf joins
         the pending groups of every hierarchy (collapsing full groups into
         permanent interiors exactly like bulk construction), and the
         provisional hierarchy top is rebuilt.  Only the changed delta and
@@ -1561,7 +1516,7 @@ class DeltaGraph:
                 self._current_graph.apply_event(event)
                 count += 1
                 self.ingest_stats.events_appended += 1
-            if count and self.config.seal_policy == "size":
+            if count:
                 self._seal_ready_leaves()
             return count
 
@@ -1572,10 +1527,9 @@ class DeltaGraph:
     def seal(self, partial: bool = True) -> int:
         """Seal recent events into leaves now; returns leaves sealed.
 
-        Seals every full ``events_per_leaf`` chunk, then — when ``partial``
-        is true and recent events remain — one final partial leaf.  This is
-        the entry point of the ``"manual"`` seal policy and of shutdown
-        flushes; unlike automatic seals it re-finalizes eagerly, so every
+        Seals every full ``leaf_eventlist_size`` chunk, then — when
+        ``partial`` is true and recent events remain — one final partial
+        leaf.  This is the entry point of shutdown flushes; unlike automatic seals it re-finalizes eagerly, so every
         delta the index needs is in the store when it returns.
         """
         with self._lock:
@@ -1596,7 +1550,7 @@ class DeltaGraph:
         of N.  The index stays correct meanwhile: new leaves are reachable
         through their eventlist edges from the already-attached history.
         """
-        threshold = self.config.effective_events_per_leaf()
+        threshold = self.config.leaf_eventlist_size
         sealed = 0
         while len(self._recent_events) >= threshold:
             self._seal_leaf(threshold)
@@ -1930,7 +1884,7 @@ class DeltaGraph:
 
     def describe(self) -> str:
         """Human-readable one-line summary of the index."""
-        cache = (f"cache={self.cache.policy_name}/{self.cache.max_bytes}B"
+        cache = (f"cache={self.cache.max_bytes}B"
                  if self.cache is not None else "cache=off")
         return (f"DeltaGraph(L={self.config.leaf_eventlist_size}, "
                 f"k={self.config.arity}, "

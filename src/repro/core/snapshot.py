@@ -105,8 +105,9 @@ class SnapshotCounters:
 
     The increments are plain (non-atomic) ``+=``: counts are exact for
     single-threaded retrieval, which is what the benchmarks measure, and
-    only approximate while a multi-threaded query (``workers > 1``) is in
-    flight — measure around serial queries.
+    only approximate while :meth:`DeltaGraph.get_snapshot_parallel
+    <repro.core.deltagraph.DeltaGraph.get_snapshot_parallel>` runs
+    partitions on several threads — measure around serial queries.
     """
 
     __slots__ = ("entries_written", "entries_removed", "entries_copied",

@@ -46,18 +46,9 @@ EntryKey = Tuple[ElementKey, object]
 
 
 class GraphPool:
-    """In-memory pool of overlaid graphs with per-entry bitmaps.
+    """In-memory pool of overlaid graphs with per-entry bitmaps."""
 
-    ``delta_cache`` optionally attaches a shared
-    :class:`~repro.cache.delta_cache.DeltaCache` to the pool: every
-    :class:`~repro.query.managers.GraphManager` built over this pool installs
-    it on its DeltaGraph, so snapshots overlaid here — no matter which
-    manager retrieved them — are reconstructed from the same cached deltas.
-    The pool itself never touches the cache; it is only the rendezvous point.
-    """
-
-    def __init__(self, dependency_threshold: float = 0.25,
-                 delta_cache=None) -> None:
+    def __init__(self, dependency_threshold: float = 0.25) -> None:
         #: Union of all active graphs: (element key, value) -> bitmap.
         self._entries: Dict[EntryKey, int] = {}
         self._allocator = BitAllocator()
@@ -69,8 +60,6 @@ class GraphPool:
         #: Number of entries touched while overlaying graphs (a measure of
         #: the work the bit-pair optimization saves).
         self.entries_touched = 0
-        #: Shared cross-query delta cache for managers over this pool.
-        self.delta_cache = delta_cache
 
     # ------------------------------------------------------------------
     # registration table

@@ -14,9 +14,8 @@ API:
 Both managers accept a shared
 :class:`~repro.cache.delta_cache.DeltaCache`, which they install on the
 underlying index so every retrieval — singlepoint, multipoint, interval,
-materialization — reuses deltas fetched by earlier queries.  Managers built
-over the same :class:`~repro.graphpool.pool.GraphPool` share the pool's
-cache automatically.
+materialization — reuses deltas fetched by earlier queries.  The cache
+lives on the index, so every manager over one index shares it.
 
 Usage
 -----
@@ -66,8 +65,8 @@ class HistoryManager:
     speak the same retrieval interface, so everything downstream (including
     :class:`GraphManager`) is shard-agnostic.  ``cache`` installs a shared
     cross-query :class:`~repro.cache.delta_cache.DeltaCache` on the index;
-    pass the same instance to several managers (or serve them from one
-    :class:`GraphManager` pool) to share fetched deltas between them.
+    every manager over that index then shares it, and passing one instance
+    to managers over different indexes shares fetched deltas between them.
     """
 
     def __init__(self, index: DeltaGraph,
@@ -87,8 +86,7 @@ class HistoryManager:
 
         ``construction_parameters`` are forwarded to
         :meth:`DeltaGraph.build <repro.core.deltagraph.DeltaGraph.build>` and
-        include the cache knobs (``cache``, ``cache_max_bytes``,
-        ``cache_policy``).
+        include the cache knobs (``cache``, ``cache_max_bytes``).
 
         ``shard_policy`` switches to a **time-sharded federation**: the
         trace is cut into eras, each era builds its own DeltaGraph (over a
@@ -203,7 +201,7 @@ class HistoryManager:
         Delegates to :meth:`DeltaGraph.append_batch
         <repro.core.deltagraph.DeltaGraph.append_batch>`: events become
         immediately queryable through the recent eventlist, full
-        ``events_per_leaf`` chunks seal new leaves and propagate recomputed
+        ``leaf_eventlist_size`` chunks seal new leaves and propagate recomputed
         deltas up the hierarchy, and exactly the affected cache groups are
         invalidated.  Read-during-ingest contract: appends and query
         planning serialize on the index lock, and payloads a pre-seal plan
@@ -255,39 +253,14 @@ class GraphManager:
     Mirrors the paper's ``GraphManager``: the analyst asks for historical
     graphs by time (or time expression / interval), receives
     :class:`~repro.graphpool.histgraph.HistGraph` views backed by the pool,
-    and releases them when the analysis is done.
+    and releases them when the analysis is done.  ``cache`` installs a
+    cross-query delta cache on ``index`` (see :class:`HistoryManager`).
     """
 
     def __init__(self, index: DeltaGraph,
                  pool: Optional[GraphPool] = None,
                  cache: Optional[DeltaCache] = None) -> None:
-        # Shared-cache resolution: an explicit cache, else the (possibly
-        # shared) pool's, else the index's own.  Every manager over one pool
-        # must end up on the same cache — that is the pool's whole promise —
-        # so the pool's cache is only filled when empty, and *any* distinct
-        # second cache (explicit argument or one already configured on the
-        # index) is an error rather than a silent replacement of somebody's
-        # warm cache.
         self.pool = pool if pool is not None else GraphPool()
-        pool_cache = self.pool.delta_cache
-        for candidate, origin in ((cache, "cache argument"),
-                                  (index.cache, "index's own cache")):
-            if (candidate is not None and pool_cache is not None
-                    and candidate is not pool_cache):
-                raise ConfigurationError(
-                    "the GraphPool already has a different delta_cache than "
-                    f"the {origin}; managers sharing a pool must share its "
-                    "cache (build the index without cache knobs, or attach "
-                    "this cache to the pool instead)")
-        # Explicit None checks: an *empty* DeltaCache is falsy (__len__), so
-        # `or`-chaining would skip a perfectly good cache that has no
-        # entries yet.
-        if cache is None:
-            cache = pool_cache
-        if cache is None:
-            cache = index.cache
-        if cache is not None and self.pool.delta_cache is None:
-            self.pool.delta_cache = cache
         self.history = HistoryManager(index, cache=cache)
         self.pool.set_current(index.current_graph())
         self._active: Dict[int, HistGraph] = {}
@@ -303,7 +276,7 @@ class GraphManager:
 
         ``construction_parameters`` reach
         :meth:`DeltaGraph.build <repro.core.deltagraph.DeltaGraph.build>`,
-        including the ``cache``/``cache_max_bytes``/``cache_policy`` knobs.
+        including the ``cache``/``cache_max_bytes`` knobs.
         """
         manager = HistoryManager.build_index(events, store=store,
                                              **construction_parameters)

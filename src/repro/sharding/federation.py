@@ -77,14 +77,14 @@ def _sum_stats(parts: Iterable):
     return total
 
 
-def _cache_recipe(cache: Optional[DeltaCache]) -> Optional[Tuple[int, str]]:
-    """The shared cache's ``(max_bytes, policy)`` recipe for workers.
+def _cache_recipe(cache: Optional[DeltaCache]) -> Optional[int]:
+    """The shared cache's byte budget, the recipe workers build from.
 
     Each worker builds its **own** cache from the recipe — cache entries
-    cannot be shared across the process boundary, but the byte/eviction
-    budget semantics carry over.
+    cannot be shared across the process boundary, but the byte budget
+    carries over.
     """
-    return None if cache is None else (cache.max_bytes, cache.policy_name)
+    return None if cache is None else cache.max_bytes
 
 
 class ShardedHistoryIndex:
@@ -135,7 +135,7 @@ class ShardedHistoryIndex:
               store_factory: Optional[Callable[[int], KVStore]] = None,
               build_workers: Optional[int] = None,
               cache: Optional[DeltaCache] = None,
-              cache_max_bytes: int = 0, cache_policy: str = "lru",
+              cache_max_bytes: int = 0,
               initial_graph: Optional[GraphSnapshot] = None,
               worker_mode: str = "inprocess",
               **index_kwargs) -> "ShardedHistoryIndex":
@@ -179,7 +179,7 @@ class ShardedHistoryIndex:
         if build_workers is not None and build_workers < 1:
             raise ConfigurationError("build_workers must be >= 1")
         if cache is None and cache_max_bytes > 0:
-            cache = DeltaCache(max_bytes=cache_max_bytes, policy=cache_policy)
+            cache = DeltaCache(max_bytes=cache_max_bytes)
         if store_factory is None:
             store_factory = lambda shard_id: InMemoryKVStore()  # noqa: E731
 

@@ -85,11 +85,8 @@ def _fault_matches(stage: str, shard_id: int) -> bool:
                for part in spec.split(","))
 
 
-def _make_cache(cache_conf: Optional[Tuple[int, str]]) -> Optional[DeltaCache]:
-    if cache_conf is None:
-        return None
-    max_bytes, policy = cache_conf
-    return DeltaCache(max_bytes=max_bytes, policy=policy)
+def _make_cache(cache_conf: Optional[int]) -> Optional[DeltaCache]:
+    return None if cache_conf is None else DeltaCache(max_bytes=cache_conf)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +453,7 @@ class ShardWorker:
         return self._call(rpc.OP_PING, delay, timeout=timeout)
 
     def load_shard(self, index: DeltaGraph, store,
-                   cache_conf: Optional[Tuple[int, str]]) -> None:
+                   cache_conf: Optional[int]) -> None:
         """Ship a sealed shard's index + store to the worker."""
         self._call(rpc.OP_LOAD_SHARD,
                    (index.detach_state(), *export_store(store), cache_conf))
@@ -466,7 +463,7 @@ class ShardWorker:
                   initial_graph: Optional[GraphSnapshot],
                   start_time: Optional[int], store_spec: tuple,
                   store_payload, index_kwargs: Dict,
-                  cache_conf: Optional[Tuple[int, str]]
+                  cache_conf: Optional[int]
                   ) -> Tuple[Dict, tuple, object]:
         """Build one era in the worker; returns the adoption parts.
 

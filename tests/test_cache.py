@@ -1,4 +1,4 @@
-"""Tests for the cross-query delta cache and its eviction policies."""
+"""Tests for the cross-query delta cache."""
 
 from __future__ import annotations
 
@@ -6,14 +6,7 @@ import threading
 
 import pytest
 
-from repro.cache import (
-    ClockPolicy,
-    DeltaCache,
-    LFUPolicy,
-    LRUPolicy,
-    available_policies,
-    get_policy,
-)
+from repro.cache import DeltaCache
 from repro.graphpool.pool import GraphPool
 from repro.query.managers import GraphManager
 from repro.core.deltagraph import DeltaGraph
@@ -34,20 +27,11 @@ def make_cache(**kwargs):
 
 
 class TestPolicies:
-    def test_registry(self):
-        assert available_policies() == ["clock", "lfu", "lru"]
-        assert isinstance(get_policy("lru"), LRUPolicy)
-        assert isinstance(get_policy(LFUPolicy), LFUPolicy)
-        policy = ClockPolicy()
-        assert get_policy(policy) is policy
-        with pytest.raises(ConfigurationError):
-            get_policy("fifo")
-        with pytest.raises(ConfigurationError):
-            get_policy(42)
+    """The eviction policy: least recently used first."""
 
     def test_lru_eviction_order(self):
         # Budget of 3 entries (sizer charges 100 each).
-        cache = make_cache(max_bytes=300, policy="lru")
+        cache = make_cache(max_bytes=300)
         cache.put("a", 1)
         cache.put("b", 2)
         cache.put("c", 3)
@@ -56,32 +40,6 @@ class TestPolicies:
         assert not cache.contains("b")
         assert all(cache.contains(k) for k in ("a", "c", "d"))
         assert cache.stats().evictions == 1
-
-    def test_lfu_eviction_order(self):
-        cache = make_cache(max_bytes=300, policy="lfu")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        for _ in range(3):
-            cache.get("a")
-        cache.get("b")
-        # c has the lowest frequency -> evicted first.
-        cache.put("d", 4)
-        assert not cache.contains("c")
-        # d (freq 1) is now colder than b (freq 2).
-        cache.put("e", 5)
-        assert not cache.contains("d")
-        assert all(cache.contains(k) for k in ("a", "b", "e"))
-
-    def test_clock_second_chance(self):
-        cache = make_cache(max_bytes=300, policy="clock")
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.put("c", 3)
-        cache.get("a")  # sets a's reference bit; hand skips it once
-        cache.put("d", 4)
-        assert cache.contains("a")
-        assert not cache.contains("b")
 
 
 class TestDeltaCache:
@@ -98,6 +56,15 @@ class TestDeltaCache:
         cache = DeltaCache(max_bytes=100, sizer=lambda v: 1000)
         assert not cache.put("huge", object())
         assert len(cache) == 0
+
+    def test_oversized_refresh_drops_the_stale_value(self):
+        cache = DeltaCache(max_bytes=100)
+        assert cache.put("k", "old", size=10)
+        assert not cache.put("k", "new", size=1000)
+        assert cache.get("k", default="absent") == "absent"
+        stats = cache.stats()
+        assert stats.invalidations == 1
+        assert stats.entries == 0 and stats.current_bytes == 0
 
     def test_explicit_size_overrides_sizer(self):
         cache = DeltaCache(max_bytes=1000, sizer=lambda v: 999)
@@ -169,14 +136,10 @@ class TestDeltaCache:
     def test_invalid_config(self):
         with pytest.raises(ConfigurationError):
             DeltaCache(max_bytes=0)
-        with pytest.raises(ConfigurationError):
-            DeltaCache(policy="nonsense")
 
-    @pytest.mark.parametrize("policy", ["lru", "lfu", "clock"])
-    def test_thread_safety_smoke(self, policy):
+    def test_thread_safety_smoke(self):
         """Hammer one small cache from several threads; invariants must hold."""
-        cache = DeltaCache(max_bytes=50 * 10, policy=policy,
-                           sizer=lambda v: 10)
+        cache = DeltaCache(max_bytes=50 * 10, sizer=lambda v: 10)
         errors = []
 
         def worker(seed: int) -> None:
@@ -225,8 +188,7 @@ class TestDeltaGraphIntegration:
 
     def test_cache_results_match_uncached(self, events):
         cached = DeltaGraph.build(events, leaf_eventlist_size=400, arity=3,
-                                  cache_max_bytes=32 << 20,
-                                  cache_policy="lfu")
+                                  cache_max_bytes=32 << 20)
         plain = DeltaGraph.build(events, leaf_eventlist_size=400, arity=3)
         times = [events.start_time + (events.end_time - events.start_time)
                  * i // 7 for i in range(1, 7)]
@@ -294,31 +256,26 @@ class TestDeltaGraphIntegration:
         a.get_snapshot(t)  # populate the cache with dataset A's deltas
         assert b.get_snapshot(t).elements == plain_b.get_snapshot(t).elements
 
-    def test_policy_instance_cannot_serve_two_caches(self):
-        policy = LRUPolicy()
-        DeltaCache(max_bytes=1 << 20, policy=policy)
-        with pytest.raises(ConfigurationError):
-            DeltaCache(max_bytes=1 << 20, policy=policy)
-
     def test_managers_over_one_pool_share_one_cache(self, events):
+        """The cache lives on the index: every manager over it shares it."""
+        index = DeltaGraph.build(events, leaf_eventlist_size=400, arity=3,
+                                 cache_max_bytes=8 << 20)
+        pool = GraphPool()
+        first = GraphManager(index, pool=pool)
+        second = GraphManager(index, pool=pool)
+        third = GraphManager(index)  # its own pool, still the index's cache
+        assert first.cache is second.cache is third.cache is index.cache
+        t = (events.start_time + events.end_time) // 2
+        first.release(first.get_hist_graph(t))
+        hits_before = index.cache.stats().hits
+        second.release(second.get_hist_graph(t))
+        assert index.cache.stats().hits > hits_before
+        # An explicit cache is installed on the index, for every manager.
+        cacheless = DeltaGraph.build(events, leaf_eventlist_size=400,
+                                     arity=3)
         shared = DeltaCache(max_bytes=8 << 20)
-        pool = GraphPool(delta_cache=shared)
-        plain = DeltaGraph.build(events, leaf_eventlist_size=400, arity=3)
-        gm = GraphManager(plain, pool=pool)
-        # A cacheless index adopts the pool's cache.
-        assert gm.cache is shared and plain.cache is shared
-        assert pool.delta_cache is shared
-        # Any distinct second cache — explicit or configured on the index —
-        # is an error, never a silent split/replacement.
-        with pytest.raises(ConfigurationError):
-            GraphManager(plain, pool=pool,
-                         cache=DeltaCache(max_bytes=1 << 20))
-        own = DeltaGraph.build(events, leaf_eventlist_size=400, arity=3,
-                               cache_max_bytes=8 << 20)
-        with pytest.raises(ConfigurationError):
-            GraphManager(own, pool=pool)
-        # Same instance everywhere is of course fine.
-        GraphManager(own, pool=GraphPool(delta_cache=own.cache))
+        GraphManager(cacheless, cache=shared)
+        assert GraphManager(cacheless).cache is shared
 
     def test_cacheless_queries_use_batched_reads(self, events):
         """Plan prefetch batches reads even with caching disabled."""

@@ -273,24 +273,10 @@ def test_incremental_one_by_one(seed, batch):
 
 
 # ---------------------------------------------------------------------------
-# seal policy knobs
+# explicit seals
 # ---------------------------------------------------------------------------
 
 class TestSealPolicy:
-    def test_manual_policy_defers_until_seal(self):
-        events = make_trace(300, seed=43)
-        split = len(events) // 2
-        index = DeltaGraph.build(events[:split], leaf_eventlist_size=30,
-                                 arity=2, seal_policy="manual")
-        leaves_before = len(index.skeleton.leaves())
-        index.append_batch(events[split:])
-        assert len(index.skeleton.leaves()) == leaves_before
-        sealed = index.seal()
-        assert sealed >= 1
-        assert len(index.skeleton.leaves()) > leaves_before
-        rebuilt = DeltaGraph.build(events, leaf_eventlist_size=30, arity=2)
-        assert_conformant(index, rebuilt, events)
-
     def test_partial_seal_flushes_tail(self):
         events = make_trace(200, seed=47)
         split = len(events) - 7  # tail smaller than any leaf
@@ -322,18 +308,6 @@ class TestSealPolicy:
         index = DeltaGraph.build([], leaf_eventlist_size=25, arity=2)
         index.append_batch(events)
         rebuilt = DeltaGraph.build(events, leaf_eventlist_size=25, arity=2)
-        assert_conformant(index, rebuilt, events)
-
-    def test_events_per_leaf_overrides_threshold(self):
-        events = make_trace(200, seed=53)
-        split = len(events) // 2
-        index = DeltaGraph.build(events[:split], leaf_eventlist_size=50,
-                                 arity=2, events_per_leaf=20)
-        before = len(index.skeleton.leaves())
-        index.append_batch(events[split:])
-        appended = len(events) - split
-        assert len(index.skeleton.leaves()) - before == appended // 20
-        rebuilt = DeltaGraph.build(events, leaf_eventlist_size=50, arity=2)
         assert_conformant(index, rebuilt, events)
 
 

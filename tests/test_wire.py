@@ -117,10 +117,10 @@ SERVICE_REJECTION = (
 #: (opcode, request fields, request frame, result, response frame)
 WORKER_CALLS = [
     (rpc.OP_LOAD_SHARD, (({"leaf_count": 3}, ("object",), {"k": b"v"},
-      (1024, "lru")),),
-     "c701010b01428005953700000000000000287d948c0a6c6561665f636f75"
+      1024),),
+     "c701010b013a8005952f00000000000000287d948c0a6c6561665f636f75"
      "6e74944b03738c066f626a6563749485947d948c016b9443017694734d00"
-     "048c036c727594869474942e",
+     "0474942e",
      None,
      "c701020b00"),
     (rpc.OP_PING, (0.25,),
